@@ -106,9 +106,10 @@ struct DBStats {
 /// A log-structured merge key-value store over an Env.
 ///
 /// Concurrent readers are always safe against the writer. By default
-/// flushes and compactions run inline on the writing thread, one writer at
-/// a time (deterministic by design — the benchmark substrate). With
-/// Options::background_compaction they run on a background thread instead:
+/// flushes and compactions run inline on the writing thread, right after
+/// the commit that filled the memtable (deterministic by design — the
+/// benchmark substrate). With Options::background_compaction they run on a
+/// background thread instead:
 /// writers (any number; they serialize internally) hand full memtables off
 /// and are paced by the L0 slowdown/stop triggers rather than doing the
 /// merge work themselves.

@@ -48,10 +48,9 @@ DBImpl::DBImpl(const Options& options, std::string dbname,
       // with the other shards so their flushes/compactions overlap.
       bg_pool_ = shared_bg_pool;
     } else {
-      // One private worker: flushes and compactions are serialized on it,
-      // which is the mutual-exclusion backbone of the pipeline (no two
-      // merges can pick overlapping inputs). The same exclusion holds in
-      // sharded mode because bg_scheduled_ admits one task per instance.
+      // One private worker. Mutual exclusion between jobs comes from the
+      // job slot, not from the pool width: sharded mode shares a wide pool
+      // and the slot still admits one job runner per instance.
       owned_bg_pool_ = std::make_unique<ThreadPool>(1);
       bg_pool_ = owned_bg_pool_.get();
     }
@@ -74,7 +73,7 @@ DBImpl::~DBImpl() {
     shutting_down_ = true;
     // A queued task will still run (the pool drains before joining) but
     // exits promptly once it observes shutting_down_.
-    while (bg_scheduled_) {
+    while (job_slot_held_) {
       bg_cv_.Wait();
     }
   }
@@ -83,8 +82,8 @@ DBImpl::~DBImpl() {
     bg_pool_ = nullptr;
   } else if (bg_pool_ != nullptr) {
     // Shared pool (sharded mode): we must not join other shards' workers,
-    // but our BackgroundCall may still be in its tail — it clears
-    // bg_scheduled_ under mu_, then touches stats_/listeners after
+    // but our BackgroundCall may still be in its tail — it releases the
+    // job slot under mu_, then touches stats_/listeners after
     // releasing it. WaitIdle returns only once every running task has
     // fully exited its closure, so no use-after-free. By the time a
     // ShardedDB destroys its shards no client issues writes, so the pool
@@ -111,7 +110,12 @@ Status DBImpl::Init() {
   Status s;
   {
     MutexLock lock(&mu_);
+    // Recovery's flush and compactions are jobs like any other. The slot
+    // is held through the orphan sweep, so no background job can be
+    // building a table file the sweep would take for an orphan.
+    AcquireJobSlotLocked();
     s = InitLocked(&events);
+    ReleaseJobSlotLocked();
   }
   // Recovery may flush and compact; listeners observe those like any
   // other flush/compaction, after the lock is gone.
@@ -412,11 +416,11 @@ Status DBImpl::RecoverWal(PendingEvents* events) {
   versions_->SetLastSequence(max_sequence);
 
   if (mem_->num_entries() > 0) {
-    s = FlushMemTableLocked(events);
-    if (!s.ok()) {
-      return s;
+    s = FlushMemTablesLocked(events);
+    if (s.ok()) {
+      RunJobs(events);
+      s = bg_error_;
     }
-    s = MaybeCompact(events);
   }
   return s;
 }
@@ -444,7 +448,10 @@ Status DBImpl::NewWal() {
 // Put/Delete/Write and the leader-based group-commit protocol live in
 // db_write.cc, the only module allowed to touch the WAL file.
 
-// ------------------------------------------------- Background pipeline --
+// ------------------------------------------------------------ Job runner --
+// Every flush and compaction is one job, run by whoever holds the job slot:
+// the background task in background mode, and on the calling thread for an
+// inline-mode writer after its commit, Flush, CompactAll and recovery.
 
 Status DBImpl::FreezeMemTableLocked() {
   assert(imm_ == nullptr);
@@ -452,8 +459,9 @@ Status DBImpl::FreezeMemTableLocked() {
   // not be appending to it with mu_ released. Likewise the memtable being
   // swapped out must not be receiving parallel-apply inserts. Callers
   // that can race a leader (Flush paths) wait for log_busy_ and
-  // apply_busy_ to clear before getting here; MakeRoomForWrite runs on
-  // the leader itself, where both are idle.
+  // apply_busy_ to clear before getting here; the leader itself
+  // (MakeRoomForWrite, post-commit inline jobs) freezes while both are
+  // idle.
   assert(!log_busy_);
   assert(!apply_busy_);
   // Rotation I/O (one vlog fsync + one WAL create) is intentionally done
@@ -540,8 +548,8 @@ Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
     } else if (mem_->ApproximateMemoryUsage() < options_.write_buffer_size) {
       return Status::OK();
     } else if (imm_ != nullptr) {
-      // The previous memtable is still flushing: hard stall until the
-      // background thread installs it.
+      // The previous memtable is still flushing: hard stall until the job
+      // runner installs it.
       stage_stall(WriteStallInfo::Cause::kMemtableFull, l0_runs);
       StallWait();
     } else if (l0_runs >= stop_trigger) {
@@ -561,29 +569,46 @@ Status DBImpl::MakeRoomForWrite(PendingEvents* events) {
   }
 }
 
+void DBImpl::AcquireJobSlotLocked() {
+  job_slot_waiters_++;
+  while (job_slot_held_) {
+    bg_cv_.Wait();
+  }
+  job_slot_waiters_--;
+  job_slot_held_ = true;
+}
+
+void DBImpl::ReleaseJobSlotLocked() {
+  assert(job_slot_held_);
+  job_slot_held_ = false;
+  // Work may have arrived while the lock was released during a build.
+  MaybeScheduleBackgroundWork();
+  bg_cv_.SignalAll();
+}
+
 void DBImpl::MaybeScheduleBackgroundWork() {
-  if (bg_pool_ == nullptr || bg_scheduled_ || shutting_down_ ||
-      !bg_error_.ok()) {
+  // A waiting foreground runner gets the slot first; it schedules the
+  // leftover work when it releases the slot.
+  if (bg_pool_ == nullptr || job_slot_held_ || job_slot_waiters_ > 0 ||
+      shutting_down_ || !bg_error_.ok()) {
     return;
   }
-  // While CompactAll holds the token a hint alone schedules nothing (the
-  // task would spin: it defers compactions until the token is released).
-  if (imm_ == nullptr && !(bg_compaction_hint_ && !manual_compaction_)) {
+  if (imm_ == nullptr && !bg_compaction_hint_) {
     return;
   }
-  bg_scheduled_ = true;
+  job_slot_held_ = true;
   if (!bg_pool_->Schedule([this] { BackgroundCall(); })) {
     // The pool already began draining; only possible during DB teardown,
     // where shutting_down_ is set before the pool shuts down. Keep the
     // flag consistent so no waiter hangs on a task that will never run.
-    bg_scheduled_ = false;
+    job_slot_held_ = false;
   }
 }
 
 void DBImpl::BackgroundCall() {
-  // One BackgroundStep per lock scope: the mutex is released between steps
-  // so each flush/compaction's listener events fire promptly and without
-  // mu_ held, and each step's PerfContext delta lands in the registry.
+  // One job per lock scope: the mutex is released between jobs so each
+  // flush/compaction's listener events fire promptly and without mu_
+  // held, and each job's PerfContext delta lands in the registry.
   while (true) {
     PendingEvents events;
     PerfContext* perf = GetPerfContext();
@@ -591,16 +616,16 @@ void DBImpl::BackgroundCall() {
     bool more = false;
     {
       MutexLock lock(&mu_);
-      assert(bg_scheduled_);
-      if (!shutting_down_ && bg_error_.ok()) {
-        more = BackgroundStep(&events);
+      assert(job_slot_held_);
+      if (!shutting_down_) {
+        // Between jobs, yield the slot to a waiting foreground runner.
+        more = RunJob(&events, /*on_worker=*/true) && job_slot_waiters_ == 0;
       }
-      if (!more) {
-        bg_scheduled_ = false;
-        // Work may have arrived while the lock was released during a build.
-        MaybeScheduleBackgroundWork();
+      if (more) {
+        bg_cv_.SignalAll();
+      } else {
+        ReleaseJobSlotLocked();
       }
-      bg_cv_.SignalAll();
     }
     stats_.MergePerfDelta(perf->Delta(before));
     NotifyListeners(&events);
@@ -610,38 +635,94 @@ void DBImpl::BackgroundCall() {
   }
 }
 
-bool DBImpl::BackgroundStep(PendingEvents* events) {
-  if (imm_ != nullptr) {
-    // Flush has priority: a pending imm_ is what stalls writers.
-    // status-ok: failures are sticky in bg_error_, which the caller's
-    // loop checks.
-    FlushImmMemTable(events).IgnoreError();
-    return true;
-  }
-  if (manual_compaction_) {
-    // CompactAll owns the compaction token; it drains the shape itself.
+bool DBImpl::RunJob(PendingEvents* events, bool on_worker) {
+  if (!bg_error_.ok()) {
     return false;
+  }
+  if (imm_ != nullptr) {
+    return FlushImmMemTable(events, on_worker).ok();
   }
   auto pick = policy_->Pick(*versions_->current());
   if (!pick.has_value()) {
     bg_compaction_hint_ = false;
     return false;
   }
-  Status s = DoCompaction(*pick, events);
-  if (!s.ok()) {
-    bg_error_ = s;
-  }
-  return s.ok();
+  return DoCompaction(*pick, events).ok();
 }
 
-Status DBImpl::FlushImmMemTable(PendingEvents* events) {
+void DBImpl::RunJobs(PendingEvents* events, int max_jobs) {
+  for (int done = 0; max_jobs == 0 || done < max_jobs; done++) {
+    if (!RunJob(events, /*on_worker=*/false)) {
+      break;
+    }
+  }
+}
+
+void DBImpl::RunWriteJobsLocked(PendingEvents* events) {
+  // Background mode froze a full buffer before the commit
+  // (MakeRoomForWrite); inline mode flushes it right after.
+  const bool full = bg_pool_ == nullptr && mem_->ApproximateMemoryUsage() >=
+                                               options_.write_buffer_size;
+  // Reads flag files that keep wasting probes (tutorial I-2 trigger
+  // primitive); a write that does not flush services them (a flushing
+  // write compacts anyway).
+  if (!full &&
+      !pending_seek_compaction_.exchange(false, std::memory_order_relaxed)) {
+    return;
+  }
+  if (bg_pool_ != nullptr) {
+    bg_compaction_hint_ = true;
+    MaybeScheduleBackgroundWork();
+    return;
+  }
+  AcquireJobSlotLocked();
+  Status s = bg_error_;
+  // Recheck: a Flush or CompactAll that held the slot meanwhile may have
+  // flushed the buffer already.
+  if (s.ok() && full &&
+      mem_->ApproximateMemoryUsage() >= options_.write_buffer_size) {
+    s = FlushMemTablesLocked(events);
+  }
+  if (s.ok()) {
+    RunJobs(events, options_.max_compactions_per_write);
+  }
+  // Job failures are sticky in bg_error_: they reach the next write, never
+  // the group that already committed.
+  ReleaseJobSlotLocked();
+}
+
+Status DBImpl::FlushMemTablesLocked(PendingEvents* events) {
+  Status s = bg_error_;
+  bool frozen = false;
+  while (s.ok()) {
+    if (imm_ != nullptr) {
+      s = FlushImmMemTable(events, /*on_worker=*/false);
+    } else if (frozen || mem_->num_entries() == 0) {
+      break;
+    } else if (log_busy_ || apply_busy_) {
+      // Freezing rotates the WAL: wait out the commit in flight (the
+      // leader clears both flags on every path, success or failure).
+      bg_cv_.Wait();
+      s = bg_error_;
+    } else {
+      s = FreezeMemTableLocked();
+      if (!s.ok()) {
+        bg_error_ = s;  // the WAL may be half-rotated
+      }
+      frozen = true;
+    }
+  }
+  return s;
+}
+
+Status DBImpl::FlushImmMemTable(PendingEvents* events, bool on_worker) {
   assert(imm_ != nullptr);
   stats_.Add(Ticker::kFlushes);
   const auto flush_start = std::chrono::steady_clock::now();
   if (has_listeners()) {
     FlushJobInfo begin;
     begin.db_name = dbname_;
-    begin.background = true;
+    begin.background = on_worker;
     events->push_back([begin](EventListener& l) { l.OnFlushBegin(begin); });
   }
   ReconfigureMonkeyLocked(/*output_level=*/0);
@@ -676,7 +757,7 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
     }
     FlushJobInfo info;
     info.db_name = dbname_;
-    info.background = true;
+    info.background = on_worker;
     info.bytes_written = bytes_written;
     info.micros = micros;
     info.status = status;
@@ -733,50 +814,17 @@ Status DBImpl::FlushImmMemTable(PendingEvents* events) {
   return Status::OK();
 }
 
-void DBImpl::WaitForBackgroundLocked() {
-  while (bg_scheduled_) {
-    bg_cv_.Wait();
-  }
-}
-
 Status DBImpl::Flush() {
   PendingEvents events;
   Status s;
   {
     MutexLock lock(&mu_);
-    s = FlushLocked(&events);
+    AcquireJobSlotLocked();
+    s = FlushMemTablesLocked(&events);
+    ReleaseJobSlotLocked();
   }
   NotifyListeners(&events);
   return s;
-}
-
-Status DBImpl::FlushLocked(PendingEvents* events) {
-  if (bg_pool_ == nullptr) {
-    if (mem_->num_entries() == 0) {
-      return Status::OK();
-    }
-    return FlushMemTableLocked(events);
-  }
-  // Background mode: freeze (waiting for a previous freeze to drain and
-  // for any in-flight group commit to leave the WAL idle — freezing
-  // rotates it), then wait until the background thread installs the flush.
-  while ((imm_ != nullptr || log_busy_ || apply_busy_) && bg_error_.ok()) {
-    bg_cv_.Wait();
-  }
-  if (!bg_error_.ok()) {
-    return bg_error_;
-  }
-  if (mem_->num_entries() > 0) {
-    Status s = FreezeMemTableLocked();
-    if (!s.ok()) {
-      return s;
-    }
-    MaybeScheduleBackgroundWork();
-    while (imm_ != nullptr && bg_error_.ok()) {
-      bg_cv_.Wait();
-    }
-  }
-  return bg_error_;
 }
 
 Status DBImpl::CompactAll() {
@@ -791,26 +839,23 @@ Status DBImpl::CompactAll() {
 }
 
 Status DBImpl::CompactAllLocked(PendingEvents* events) {
-  // Take the compaction token: background work already running finishes
-  // first, and the background thread then leaves compaction picks to us
-  // (concurrent flushes of frozen memtables remain fine — they only add
-  // newer L0 runs, which never invalidates a pick of older files).
-  manual_compaction_ = true;
-  WaitForBackgroundLocked();
-  Status s = bg_error_.ok() ? Status::OK() : bg_error_;
-  if (s.ok() && imm_ != nullptr) {
-    s = FlushImmMemTable(events);
-  }
-  if (s.ok() && mem_->num_entries() > 0) {
-    s = FlushMemTableLocked(events);
-  }
+  AcquireJobSlotLocked();
+  Status s = FlushMemTablesLocked(events);
   if (s.ok()) {
-    s = MaybeCompact(events);
+    // Drain the compaction policy first. RunJob also flushes any memtable
+    // a background-mode writer froze meanwhile, so writers stall no
+    // longer than behind one background compaction.
+    RunJobs(events);
+    s = bg_error_;
   }
   // Major compaction: merge level by level until the whole tree is a
   // single sorted run at the deepest populated level, so bottom-level
   // garbage (shadowed versions, spent tombstones) is fully collected.
   while (s.ok()) {
+    if (imm_ != nullptr) {
+      s = FlushImmMemTable(events, /*on_worker=*/false);
+      continue;
+    }
     const VersionPtr v = versions_->current();
     if (v->TotalRuns() <= 1) {
       break;
@@ -842,8 +887,7 @@ Status DBImpl::CompactAllLocked(PendingEvents* events) {
     }
     s = DoCompaction(pick, events);
   }
-  manual_compaction_ = false;
-  MaybeScheduleBackgroundWork();
+  ReleaseJobSlotLocked();
   return s;
 }
 
@@ -861,115 +905,6 @@ void DBImpl::ReconfigureMonkeyLocked(int output_level) {
                          output_level + 1, 1}));
   table_cache_->ConfigureFilterBits(MonkeyBitsPerLevel(
       options_.filter_bits_per_key, depth, options_.size_ratio));
-}
-
-Status DBImpl::FlushMemTableLocked(PendingEvents* events) {
-  // This flush rotates the WAL below; wait out any group-commit leader
-  // that is appending — or parallel-applying — with mu_ released. (No
-  // bg_error_ check needed: the leader clears log_busy_ and apply_busy_
-  // on every path, success or failure.)
-  while (log_busy_ || apply_busy_) {
-    bg_cv_.Wait();
-  }
-  stats_.Add(Ticker::kFlushes);
-  const auto flush_start = std::chrono::steady_clock::now();
-  if (has_listeners()) {
-    FlushJobInfo begin;
-    begin.db_name = dbname_;
-    events->push_back([begin](EventListener& l) { l.OnFlushBegin(begin); });
-  }
-  std::vector<FileMetaData> outputs;
-  uint64_t bytes_written = 0;
-  auto finish = [&](const Status& status) {
-    const uint64_t micros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - flush_start)
-            .count());
-    GetPerfContext()->flush_micros += micros;
-    stats_.Record(PhaseHistogram::kFlushMicros,
-                  static_cast<double>(micros));
-    if (!has_listeners()) {
-      return;
-    }
-    FlushJobInfo info;
-    info.db_name = dbname_;
-    info.bytes_written = bytes_written;
-    info.micros = micros;
-    info.status = status;
-    if (status.ok()) {
-      for (const FileMetaData& meta : outputs) {
-        info.outputs.push_back(MakeTableFileInfo(meta, /*level=*/0));
-        const TableFileInfo created = info.outputs.back();
-        events->push_back(
-            [created](EventListener& l) { l.OnTableFileCreated(created); });
-      }
-    }
-    events->push_back([info](EventListener& l) { l.OnFlushEnd(info); });
-  };
-  ReconfigureMonkeyLocked(/*output_level=*/0);
-
-  // Inline-mode flush: the whole freeze/build/install sequence runs under
-  // mu_ by design (single-threaded configs have no one to yield to).
-  ScopedBlockingIoAllowed allow_io("inline-mode flush");
-
-  // WiscKey durability order: pointers are about to become durable in
-  // tables, so their values must hit storage first.
-  if (vlog_ != nullptr) {
-    // io-under-lock-ok: inline-mode durability barrier before the flush.
-    Status vs = vlog_->Sync(/*fsync=*/true);
-    if (!vs.ok()) {
-      finish(vs);
-      return vs;
-    }
-  }
-
-  // Rotate the WAL first so the new memtable's writes land in a fresh log.
-  const uint64_t old_wal = wal_number_;
-  Status s = NewWal();
-  if (!s.ok()) {
-    finish(s);
-    return s;
-  }
-
-  std::unique_ptr<Iterator> iter(mem_->NewIterator());
-  // io-under-lock-ok: inline-mode table build runs under mu_ by design.
-  s = BuildTables(iter.get(), /*output_level=*/0,
-                  /*drop_shadowed=*/false, /*drop_tombstones=*/false,
-                  SmallestSnapshotLocked(), &outputs, &bytes_written);
-  if (!s.ok()) {
-    finish(s);
-    return s;
-  }
-  stats_.Add(Ticker::kBytesFlushed, bytes_written);
-  stats_.Add(Ticker::kTableFilesCreated, outputs.size());
-
-  VersionEdit edit;
-  const uint64_t run_seq = versions_->NewRunSeq();
-  for (FileMetaData& meta : outputs) {
-    meta.run_seq = run_seq;
-    edit.AddFile(0, meta);
-  }
-  edit.SetLogNumber(wal_number_);  // everything older is durable in tables
-  // io-under-lock-ok: inline-mode manifest install under mu_ by design.
-  s = versions_->LogAndApply(&edit);
-  if (!s.ok()) {
-    finish(s);
-    return s;
-  }
-
-  // Swap in an empty memtable and drop the old WAL.
-  mem_->Unref();
-  mem_ = new MemTable(icmp_, options_.memtable_rep,
-                      options_.memtable_hash_index);
-  mem_->Ref();
-  if (options_.enable_wal && old_wal != 0) {
-    // status-ok: best-effort; a leftover WAL is re-deleted on the next
-    // recovery.
-    // io-under-lock-ok: inline-mode WAL unlink tied to the install.
-    options_.env->RemoveFile(WalFileName(dbname_, old_wal)).IgnoreError();
-  }
-  finish(Status::OK());
-  return Status::OK();
 }
 
 Status DBImpl::BuildTables(Iterator* iter, int output_level,
@@ -1097,20 +1032,6 @@ SequenceNumber DBImpl::SmallestSnapshotLocked() const {
 
 // ------------------------------------------------------------ Compaction --
 
-Status DBImpl::MaybeCompact(PendingEvents* events, int max_picks) {
-  Status s;
-  int done = 0;
-  while (s.ok() && (max_picks == 0 || done < max_picks)) {
-    auto pick = policy_->Pick(*versions_->current());
-    if (!pick.has_value()) {
-      break;
-    }
-    s = DoCompaction(*pick, events);
-    done++;
-  }
-  return s;
-}
-
 Status DBImpl::DoCompaction(const CompactionPick& pick,
                             PendingEvents* events) {
   stats_.Add(Ticker::kCompactions);
@@ -1123,7 +1044,11 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
     }
     ScopedBlockingIoAllowed allow_io("drop-only manifest install");
     // io-under-lock-ok: manifest install is atomic with the version swap.
-    return versions_->LogAndApply(&edit);
+    Status s = versions_->LogAndApply(&edit);
+    if (!s.ok()) {
+      bg_error_ = s;
+    }
+    return s;
   }
 
   const auto compaction_start = std::chrono::steady_clock::now();
@@ -1184,8 +1109,7 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
   // Merge all input + overlap files with the lock released: the inputs
   // are immutable files pinned by the pick's shared_ptrs, so reads and
   // writes proceed during the heavy lifting. Compactions themselves never
-  // race — they are serialized on the background thread (or excluded by
-  // the manual-compaction token).
+  // race: only the job-slot holder runs one.
   mu_.Unlock();
   std::vector<Iterator*> children;
   uint64_t input_accesses = 0;
@@ -1247,6 +1171,7 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
   };
 
   if (!s.ok()) {
+    bg_error_ = s;
     finish(s);
     return s;
   }
@@ -1270,6 +1195,7 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
   // io-under-lock-ok: manifest install is atomic with the version swap.
   s = versions_->LogAndApply(&edit);
   if (!s.ok()) {
+    bg_error_ = s;
     finish(s);
     return s;
   }
@@ -1723,10 +1649,9 @@ DBStats DBImpl::GetStats() {
   stats.parallel_applies = stats_.Get(Ticker::kMemtableParallelApplies);
   stats.serial_applies = stats_.Get(Ticker::kMemtableSerialApplies);
   stats.insert_cas_retries = stats_.Get(Ticker::kMemtableInsertCasRetries);
-  const SSTable::Counters counters = table_cache_->AggregateCounters();
-  stats.hash_index_hits = counters.hash_index_hits;
-  stats.hash_index_absent = counters.hash_index_absent;
-  stats.learned_index_seeks = counters.learned_index_seeks;
+  stats.hash_index_hits = stats_.Get(Ticker::kHashIndexHits);
+  stats.hash_index_absent = stats_.Get(Ticker::kHashIndexAbsent);
+  stats.learned_index_seeks = stats_.Get(Ticker::kLearnedIndexSeeks);
   stats.index_filter_memory = table_cache_->IndexMemoryUsage();
   if (vlog_ != nullptr) {
     stats.value_log_bytes = vlog_->TotalBytes();

@@ -160,51 +160,69 @@ class DBImpl : public DB {
   /// syncs for non-sync traffic. Leader-only state (last_wal_sync_,
   /// wal_unsynced_bytes_); called without mu_.
   bool ShouldSyncWal(bool group_sync, uint64_t record_bytes) const;
-  Status FlushLocked(PendingEvents* events) REQUIRES(mu_);
   Status CompactAllLocked(PendingEvents* events) REQUIRES(mu_);
-  /// Replays WAL files newer than the manifest's log number.
+  /// Replays WAL files newer than the manifest's log number. REQUIRES
+  /// additionally: the job slot is held.
   Status RecoverWal(PendingEvents* events) REQUIRES(mu_);
   Status NewWal() REQUIRES(mu_);
-  /// Flushes the current memtable into a level-0 run, entirely under mu_
-  /// (inline mode and recovery).
-  Status FlushMemTableLocked(PendingEvents* events) REQUIRES(mu_);
   /// Freezes mem_ into imm_ behind a fresh memtable + WAL so writers can
-  /// continue while the background thread flushes. REQUIRES additionally:
-  /// imm_ == nullptr.
+  /// continue while the job runner flushes. REQUIRES additionally:
+  /// imm_ == nullptr, and no commit in flight (!log_busy_, !apply_busy_).
   Status FreezeMemTableLocked() REQUIRES(mu_);
   /// Write controller (background mode): blocks until mem_ has room,
   /// applying the L0 slowdown/stop triggers and the pending-imm stall.
   /// May release and reacquire mu_.
   Status MakeRoomForWrite(PendingEvents* events) REQUIRES(mu_);
+  /// The job slot (job_slot_held_). Every flush and compaction is a job,
+  /// and only the slot holder runs jobs: the background task, an
+  /// inline-mode writer after its commit, Flush, CompactAll, or recovery.
+  /// Acquire waits (releasing mu_) until the slot is free; Release frees
+  /// it, hands pending work to the background task, and wakes waiters.
+  void AcquireJobSlotLocked() REQUIRES(mu_);
+  void ReleaseJobSlotLocked() REQUIRES(mu_);
   /// Schedules a background task when work is pending (a frozen memtable
-  /// or a compaction hint) and none is queued.
+  /// or a compaction hint) and the job slot is free and not awaited.
   void MaybeScheduleBackgroundWork() REQUIRES(mu_);
-  /// Thread-pool entry point: loops over BackgroundStep, releasing mu_
-  /// between steps to fire that step's listener events.
+  /// Thread-pool entry point: holds the job slot and loops over RunJob,
+  /// releasing mu_ between jobs to fire each one's listener events.
   void BackgroundCall() EXCLUDES(mu_);
-  /// Runs one unit of background work (a flush or one compaction),
-  /// releasing mu_ while building tables. Returns true while more work may
-  /// be pending.
-  bool BackgroundStep(PendingEvents* events) REQUIRES(mu_);
+  /// Runs one job with the slot held: flushes imm_ when one is pending (a
+  /// frozen memtable is what stalls writers), else the compaction policy's
+  /// next pick. Returns true while more work may be pending; failures are
+  /// sticky in bg_error_. `on_worker` marks the background task.
+  bool RunJob(PendingEvents* events, bool on_worker) REQUIRES(mu_);
+  /// Runs foreground jobs until none is pending or `max_jobs` have run
+  /// (0 = unlimited). Failures are sticky in bg_error_.
+  void RunJobs(PendingEvents* events, int max_jobs = 0) REQUIRES(mu_);
+  /// After a committed group: runs this write's jobs. Inline mode takes
+  /// the job slot on the writing thread for a flush when the write filled
+  /// the buffer, then up to max_compactions_per_write compactions (or for
+  /// a read-triggered compaction when reads flagged one); background mode
+  /// hands a read-triggered compaction to the background task. Failures
+  /// never reach the committed group: they are sticky in bg_error_ and
+  /// surface on the next write.
+  void RunWriteJobsLocked(PendingEvents* events) REQUIRES(mu_);
+  /// With the job slot held: flushes imm_, then freezes and flushes mem_
+  /// (once any in-flight commit leaves the WAL idle), so everything
+  /// committed before the call is in level 0.
+  Status FlushMemTablesLocked(PendingEvents* events) REQUIRES(mu_);
   /// Flushes imm_ into a level-0 run, building tables with mu_ released;
-  /// only the manifest install holds it. REQUIRES additionally:
-  /// imm_ != nullptr. On failure the error is also recorded in bg_error_.
-  Status FlushImmMemTable(PendingEvents* events) REQUIRES(mu_);
-  /// Waits until no background task is queued or running.
-  void WaitForBackgroundLocked() REQUIRES(mu_);
+  /// only the manifest install holds it. REQUIRES additionally: the job
+  /// slot is held, imm_ != nullptr. On failure the error is also recorded
+  /// in bg_error_. `on_worker` sets FlushJobInfo::background.
+  Status FlushImmMemTable(PendingEvents* events, bool on_worker)
+      REQUIRES(mu_);
   /// Counted condition-variable wait: blocks on bg_cv_ and accrues the
   /// stall counters.
   void StallWait() REQUIRES(mu_);
   /// Re-derives the Monkey per-level filter allocation for the current
   /// tree depth.
   void ReconfigureMonkeyLocked(int output_level) REQUIRES(mu_);
-  /// Runs compactions until the policy is satisfied, or until `max_picks`
-  /// compactions have run (0 = unlimited); may release mu_ during merges.
-  Status MaybeCompact(PendingEvents* events, int max_picks = 0)
-      REQUIRES(mu_);
   /// Executes one compaction: the merge itself runs with mu_ released
   /// (inputs are immutable files); pick metadata capture and the version
-  /// install hold it.
+  /// install hold it. REQUIRES additionally: the job slot is held, which
+  /// is what keeps two merges from picking the same input files. On
+  /// failure the error is also recorded in bg_error_.
   Status DoCompaction(const CompactionPick& pick, PendingEvents* events)
       REQUIRES(mu_);
   /// Builds output file(s) from `iter`, splitting at max_file_size.
@@ -278,8 +296,8 @@ class DBImpl : public DB {
   /// prefix of the queue as one group and signals each member's CondVar.
   std::deque<Writer*> writers_ GUARDED_BY(mu_);
   /// True while the leader runs WAL/value-log I/O with mu_ released. WAL
-  /// rotation (FreezeMemTableLocked / FlushMemTableLocked) must wait for
-  /// the log to go idle, or it would destroy the file mid-append.
+  /// rotation (FreezeMemTableLocked) must wait for the log to go idle, or
+  /// it would destroy the file mid-append.
   bool log_busy_ GUARDED_BY(mu_) = false;
   /// True while a parallel group apply runs outside mu_ (leader and
   /// followers inserting into mem_ concurrently). Freeze must wait for it
@@ -312,28 +330,29 @@ class DBImpl : public DB {
   /// Non-null iff separation enabled; internally synchronized.
   std::unique_ptr<ValueLog> vlog_;
 
-  // Background pipeline. bg_pool_ is non-null iff
-  // options_.background_compaction: it points at owned_bg_pool_ (the
-  // standalone case — one private worker, which serializes this
-  // instance's flushes and compactions) or at a caller-owned pool shared
-  // across shards (ShardedDB). Either way bg_scheduled_ admits at most
-  // one queued-or-running task per DBImpl, so per-instance background
-  // work stays serialized even on a wide shared pool.
+  // Job runner. bg_pool_ is non-null iff options_.background_compaction:
+  // it points at owned_bg_pool_ (the standalone case, one private worker)
+  // or at a caller-owned pool shared across shards (ShardedDB). Either
+  // way the job slot admits one runner per DBImpl at a time, so this
+  // instance's flushes and compactions stay serialized even on a wide
+  // shared pool, and no two merges ever pick overlapping inputs.
   std::unique_ptr<ThreadPool> owned_bg_pool_;
   ThreadPool* bg_pool_ = nullptr;
-  /// Signalled on background progress (flush/compaction install, task
-  /// completion); stalled writers and waiters sleep on it.
+  /// Signalled on job progress (flush/compaction install, slot release);
+  /// stalled writers and slot waiters sleep on it.
   CondVar bg_cv_{&mu_};
-  bool bg_scheduled_ GUARDED_BY(mu_) = false;  // a task is queued or running
+  /// The job slot: held by a queued or running background task, or by a
+  /// foreground runner (inline writer, Flush, CompactAll, recovery).
+  bool job_slot_held_ GUARDED_BY(mu_) = false;
+  /// Foreground runners waiting for the slot; the background task yields
+  /// it to them between jobs instead of running on.
+  int job_slot_waiters_ GUARDED_BY(mu_) = 0;
   /// Shape/seek work may be pending.
   bool bg_compaction_hint_ GUARDED_BY(mu_) = false;
-  /// CompactAll holds the compaction token: the background thread defers
-  /// compaction picks (flushes still run) so two merges never race over
-  /// the same input files.
-  bool manual_compaction_ GUARDED_BY(mu_) = false;
   bool shutting_down_ GUARDED_BY(mu_) = false;
-  /// First background failure; surfaced to writers and sticky (matches the
-  /// usual LSM posture: a failed flush/compaction poisons the DB).
+  /// First job failure (or divergent commit); surfaced to writers and
+  /// sticky (the usual LSM posture: a failed flush/compaction poisons the
+  /// DB).
   Status bg_error_ GUARDED_BY(mu_);
 
   /// Every named DB-wide counter and phase histogram; internally

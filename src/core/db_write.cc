@@ -11,9 +11,9 @@
 //      concatenates the members into one batch with contiguous sequence
 //      numbers. It then sets log_busy_ and RELEASES mu_ for the expensive
 //      part: key-value separation, the single WAL append, and the sync
-//      the durability mode calls for. Readers and the background thread
-//      proceed under mu_ meanwhile; only WAL rotation (memtable freeze)
-//      must wait for log_busy_ to clear.
+//      the durability mode calls for. Readers and job runners proceed
+//      under mu_ meanwhile; only WAL rotation (memtable freeze) must wait
+//      for log_busy_ to clear.
 //   3. The leader re-acquires mu_ and applies the group to the memtable.
 //      Serial path: one InsertInto of the concatenated group under mu_.
 //      Parallel path (Options::allow_concurrent_memtable_write + skiplist
@@ -28,6 +28,11 @@
 //      signals the next queued writer to lead. Member insert failures
 //      funnel into the group status and poison bg_error_ exactly like a
 //      serial apply failure.
+//   5. Between publishing and popping, the leader runs the write's jobs
+//      (RunWriteJobsLocked): in inline mode the flush of a memtable this
+//      group filled, and its compactions, on this thread with the job
+//      slot held and mu_ released for the builds. Their failures are
+//      sticky in bg_error_ and fail the next write, never this group.
 //
 // Mixed-group sync semantics: one group containing any sync writer syncs
 // once for all members. The interval/bytes modes additionally bound the
@@ -244,27 +249,9 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
     }
 
     if (s.ok()) {
-      if (bg_pool_ != nullptr) {
-        if (pending_seek_compaction_.exchange(false,
-                                              std::memory_order_relaxed)) {
-          // Reads flagged a file that keeps wasting probes; wake the
-          // background thread to service it (tutorial I-2 trigger
-          // primitive).
-          bg_compaction_hint_ = true;
-          MaybeScheduleBackgroundWork();
-        }
-      } else if (mem_->ApproximateMemoryUsage() >=
-                 options_.write_buffer_size) {
-        s = FlushMemTableLocked(events);
-        if (s.ok()) {
-          s = MaybeCompact(events, options_.max_compactions_per_write);
-        }
-      } else if (pending_seek_compaction_.exchange(
-                     false, std::memory_order_relaxed)) {
-        // Inline mode services the read-triggered compaction on this
-        // write.
-        s = MaybeCompact(events, options_.max_compactions_per_write);
-      }
+      // The group is committed: from here on, job failures are sticky in
+      // bg_error_ and surface on the next write, never on this group.
+      RunWriteJobsLocked(events);
     }
   }
 

@@ -105,11 +105,15 @@ struct Options {
   uint64_t fifo_size_budget = 64 << 20;
 
   // --- Background write pipeline (III-2) ----------------------------------
-  /// Run flushes and compactions on a background thread. A full memtable is
-  /// frozen and handed off (writers continue into a fresh memtable + WAL),
-  /// and compaction debt is repaid off the write path; the write controller
-  /// below converts hard stalls into bounded slowdowns. Off = inline
-  /// flush/compaction on the writing thread (deterministic benchmarking).
+  /// Where the flush and compaction jobs that writes create run (one job at
+  /// a time per DB, whichever thread runs it). On: a background thread. A
+  /// full memtable is frozen and handed off (writers continue into a fresh
+  /// memtable + WAL), and compaction debt is repaid off the write path; the
+  /// write controller below converts hard stalls into bounded slowdowns.
+  /// Off: the writer whose commit filled the memtable runs the flush and
+  /// its compactions right after the commit, with the DB mutex released
+  /// (deterministic benchmarking). Flush, CompactAll and recovery run
+  /// their jobs on the calling thread in both modes.
   bool background_compaction = false;
   /// Background mode: L0 run count at which each write is delayed ~1ms so
   /// compaction can catch up before the stop trigger is hit. 0 disables.
@@ -217,8 +221,6 @@ struct Options {
 struct ReadOptions {
   /// nullptr reads the latest data; otherwise reads at the snapshot.
   const Snapshot* snapshot = nullptr;
-  /// Verify block checksums on every read (always on in this build).
-  bool verify_checksums = true;
   /// Let Get consult point filters (off to measure their benefit).
   bool use_filter = true;
 };

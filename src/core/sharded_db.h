@@ -133,7 +133,7 @@ class ShardedDB : public DB {
 
   /// Shared flush/compaction pool, one slot per shard (non-null iff
   /// options_.background_compaction). Each shard still runs at most one
-  /// background job at a time (DBImpl::bg_scheduled_); the width lets
+  /// background job at a time (DBImpl::job_slot_held_); the width lets
   /// jobs from different shards overlap.
   std::unique_ptr<ThreadPool> bg_pool_;
   /// Router-side workers for parallel WriteBatch/MultiGet/maintenance

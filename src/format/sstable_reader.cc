@@ -405,7 +405,6 @@ Status SSTable::InternalGet(
         return Status::OK();
       }
     } else {
-      counters_.learned_index_seeks++;
       GetPerfContext()->learned_index_seek_count++;
       if (use_filter && has_partitioned_filter() &&
           !PartitionMayMatch(block_idx, hash64)) {
@@ -484,11 +483,9 @@ Status SSTable::InternalGet(
   uint32_t restart;
   switch (block->HashLookup(hash32, &restart)) {
     case Block::HashResult::kAbsent:
-      counters_.hash_index_absent++;
       GetPerfContext()->hash_index_absent_count++;
       return Status::OK();
     case Block::HashResult::kFound:
-      counters_.hash_index_hits++;
       GetPerfContext()->hash_index_hit_count++;
       iter->SeekToRestart(restart);
       while (iter->Valid() &&

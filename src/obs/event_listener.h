@@ -20,8 +20,9 @@ struct TableFileInfo {
 
 struct FlushJobInfo {
   std::string db_name;
-  /// True when the flush ran on the background worker (a frozen immutable
-  /// memtable); false for inline/recovery flushes of the live memtable.
+  /// True when the flush ran on the background worker; false when a
+  /// foreground job runner ran it (an inline-mode writer, Flush,
+  /// CompactAll or recovery).
   bool background = false;
   uint64_t bytes_written = 0;
   uint64_t micros = 0;  ///< wall time of the table build + install

@@ -1,11 +1,15 @@
 // Concurrency: writers, readers, and snapshot reads racing against the
-// background flush/compaction pipeline. Run under -DLSMLAB_SANITIZE=thread
-// to prove the pipeline is data-race free (see README).
+// background flush/compaction pipeline, and CompactAll racing the other
+// job runners. Run under -DLSMLAB_SANITIZE=thread to prove the pipeline is
+// data-race free (see README).
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +19,7 @@
 #include "core/db.h"
 #include "core/sharded_db.h"
 #include "storage/env.h"
+#include "util/random.h"
 
 namespace lsmlab {
 namespace {
@@ -349,6 +354,284 @@ TEST(ConcurrencyTest, ShardedBackgroundJobsOverlapAcrossShards) {
       ASSERT_TRUE(ValueConsistent(key, value, &version)) << key;
     }
   }
+}
+
+// ------------------------------------------------ Job-runner exclusion --
+
+/// Env wrapper that parks a compaction at its first table create. Once
+/// armed, the next manifest append (a flush's install) closes the gate,
+/// and every later .sst create blocks until Release(). In inline mode the
+/// create right after a flush install is the compaction that flush
+/// triggered, so the writer parks mid-job holding the job slot.
+class TableGateEnv : public Env {
+ public:
+  explicit TableGateEnv(Env* base) : base_(base) {}
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    if (EndsWith(fname, ".sst")) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (closed_) {
+        parked_++;
+        cv_.wait(lock, [this] { return !closed_; });
+        parked_--;
+      }
+    }
+    std::unique_ptr<WritableFile> file;
+    Status s = base_->NewWritableFile(fname, &file);
+    if (s.ok() && fname.find("/MANIFEST-") != std::string::npos) {
+      file = std::make_unique<ManifestFile>(this, std::move(file));
+    }
+    *result = std::move(file);
+    return s;
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return base_->CreateDir(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+
+  void CloseAfterNextInstall() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = false;
+    }
+    cv_.notify_all();
+  }
+  /// Table creates currently blocked at the gate.
+  int parked() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return parked_;
+  }
+
+ private:
+  class ManifestFile : public WritableFile {
+   public:
+    ManifestFile(TableGateEnv* env, std::unique_ptr<WritableFile> base)
+        : env_(env), base_(std::move(base)) {}
+
+    Status Append(const Slice& data) override {
+      {
+        std::lock_guard<std::mutex> lock(env_->mu_);
+        if (env_->armed_) {
+          env_->armed_ = false;
+          env_->closed_ = true;
+        }
+      }
+      return base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    TableGateEnv* env_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  static bool EndsWith(const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  }
+
+  Env* const base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool closed_ = false;
+  int parked_ = 0;
+};
+
+// Waits (bounded) until `pred` holds.
+template <typename Pred>
+bool WaitFor(const Pred& pred, int timeout_ms) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+Options RaceOptions(Env* env, bool background) {
+  Options options;
+  options.env = env;
+  options.background_compaction = background;
+  options.write_buffer_size = 16 << 10;
+  options.max_file_size = 8 << 10;
+  options.size_ratio = 3;
+  options.level0_compaction_trigger = 2;
+  return options;
+}
+
+std::string RaceKey(int k) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "k%05d", k);
+  return buf;
+}
+
+// Every key of the space reads back as the single writer's oracle says.
+// Returns the number of keys that do not.
+int CountOracleMismatches(DB* db,
+                          const std::map<std::string, std::string>& oracle,
+                          int key_space) {
+  int mismatches = 0;
+  std::string value;
+  for (int k = 0; k < key_space; k++) {
+    const std::string key = RaceKey(k);
+    const Status s = db->Get({}, key, &value);
+    const auto it = oracle.find(key);
+    if (it == oracle.end() ? !s.IsNotFound() : !s.ok() || value != it->second) {
+      mismatches++;
+    }
+  }
+  return mismatches;
+}
+
+// Deterministic staging of an inline writer's compaction against
+// CompactAll: the writer's flush installs, its compaction parks at the
+// first table create (holding the job slot), and only then does
+// CompactAll start. CompactAll must start no merge of its own — it would
+// pick the very L0 runs the parked compaction is consuming — until that
+// compaction finishes.
+TEST(ConcurrencyTest, CompactAllWaitsForInlineWriterCompaction) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  TableGateEnv gate(base.get());
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(
+      DB::Open(RaceOptions(&gate, /*background=*/false), "/gate", &db).ok());
+
+  constexpr int kKeySpace = 100;
+  std::map<std::string, std::string> oracle;
+  auto put = [&](int k, int version) {
+    const std::string key = RaceKey(k);
+    const std::string value = key + "#" + std::to_string(version);
+    oracle[key] = value;
+    return db->Put({}, key, value);
+  };
+  // Two level-0 runs: with trigger 2, the next flushing write compacts.
+  for (int round = 0; round < 2; round++) {
+    for (int k = 0; k < kKeySpace; k++) {
+      ASSERT_TRUE(put(k, round).ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  ASSERT_EQ(db->GetStats().runs_per_level[0], 2);
+
+  gate.CloseAfterNextInstall();
+  std::atomic<int> write_errors{0};
+  std::thread writer([&] {
+    // Enough writes to overflow the 16 KiB buffer a few times over.
+    for (int i = 0; i < 2000; i++) {
+      if (!put(i % kKeySpace, 2 + i / kKeySpace).ok()) {
+        write_errors.fetch_add(1);
+      }
+    }
+  });
+  ASSERT_TRUE(WaitFor([&] { return gate.parked() == 1; }, 10000));
+
+  Status compact_status;
+  std::thread compactor([&] { compact_status = db->CompactAll(); });
+  EXPECT_FALSE(WaitFor([&] { return gate.parked() > 1; }, 300))
+      << "CompactAll started a merge while the writer's compaction ran";
+
+  gate.Release();
+  writer.join();
+  compactor.join();
+  EXPECT_EQ(write_errors.load(), 0);
+  EXPECT_TRUE(compact_status.ok()) << compact_status.ToString();
+  EXPECT_EQ(CountOracleMismatches(db.get(), oracle, kKeySpace), 0);
+}
+
+// One writer (60k ops over 3,000 keys, every 11th a Delete) against
+// `compactors` threads looping CompactAll. Every job runner must exclude
+// the others, or two merges pick the same inputs and the loser's install
+// resurrects or drops keys.
+void RunCompactAllHammer(bool background, int compactors) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(RaceOptions(env.get(), background), "/hammer", &db)
+                  .ok());
+
+  constexpr int kKeySpace = 3000;
+  constexpr int kOps = 60000;
+  std::map<std::string, std::string> oracle;  // writer-owned until join
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::thread writer([&] {
+    Random rnd(301);
+    for (int op = 0; op < kOps; op++) {
+      const std::string key = RaceKey(static_cast<int>(rnd.Uniform(kKeySpace)));
+      Status s;
+      if (op % 11 == 0) {
+        oracle.erase(key);
+        s = db->Delete({}, key);
+      } else {
+        const std::string value = key + "#" + std::to_string(op);
+        oracle[key] = value;
+        s = db->Put({}, key, value);
+      }
+      if (!s.ok()) {
+        errors.fetch_add(1);
+      }
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> threads;
+  for (int c = 0; c < compactors; c++) {
+    threads.emplace_back([&] {
+      while (!done.load()) {
+        if (!db->CompactAll().ok()) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(CountOracleMismatches(db.get(), oracle, kKeySpace), 0);
+}
+
+TEST(ConcurrencyTest, TwoCompactAllCallersAndInlineWriter) {
+  RunCompactAllHammer(/*background=*/false, /*compactors=*/2);
+}
+
+TEST(ConcurrencyTest, TwoCompactAllCallersAndBackgroundWriter) {
+  RunCompactAllHammer(/*background=*/true, /*compactors=*/2);
 }
 
 }  // namespace

@@ -36,6 +36,11 @@ bool IsVlogFile(const std::string& fname) {
          fname.compare(fname.size() - 5, 5, ".vlog") == 0;
 }
 
+bool IsTableFile(const std::string& fname) {
+  return fname.size() > 4 &&
+         fname.compare(fname.size() - 4, 4, ".sst") == 0;
+}
+
 /// Env wrapper that gates WAL durability: Sync on .wal files blocks while
 /// the gate is closed (parking a group-commit leader mid-commit, with mu_
 /// released, so followers can pile up behind it deterministically), and
@@ -47,6 +52,9 @@ class WalGateEnv : public Env {
 
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override {
+    if (fail_table_creates_.load() && IsTableFile(fname)) {
+      return Status::IOError("injected table create failure");
+    }
     std::unique_ptr<WritableFile> file;
     Status s = base_->NewWritableFile(fname, &file);
     if (!s.ok()) {
@@ -108,6 +116,8 @@ class WalGateEnv : public Env {
   }
   void FailNextAppend() { fail_next_append_.store(true); }
   void FailNextSync() { fail_next_sync_.store(true); }
+  /// While on, every .sst create fails (flushes and compactions fail).
+  void FailTableCreates(bool on) { fail_table_creates_.store(on); }
 
   int wal_appends() const { return wal_appends_.load(); }
   int wal_syncs() const { return wal_syncs_.load(); }
@@ -174,6 +184,7 @@ class WalGateEnv : public Env {
   int sync_waiters_ = 0;
   std::atomic<bool> fail_next_append_{false};
   std::atomic<bool> fail_next_sync_{false};
+  std::atomic<bool> fail_table_creates_{false};
   std::atomic<int> wal_appends_{0};
   std::atomic<int> wal_syncs_{0};
   std::atomic<int> vlog_syncs_{0};
@@ -446,6 +457,53 @@ TEST(WriteGroupTest, PostAppendFailurePoisonsDb) {
   EXPECT_TRUE(db->Get({}, "before", &value).ok());
   EXPECT_TRUE(db->Get({}, "poisoned", &value).IsNotFound());
   EXPECT_TRUE(db->Get({}, "after", &value).IsNotFound());
+}
+
+// An inline-mode flush runs after the overflowing group committed: its
+// records are in the WAL and the memtable, and last_sequence covers them.
+// A failing flush must not be reported to that group (a caller told "failed"
+// would find the key readable and recovered). It goes sticky instead, and
+// the next write is the one refused. Reopening recovers every acknowledged
+// key and none of the refused ones.
+TEST(WriteGroupTest, PostCommitFlushFailureFailsNextWrite) {
+  std::unique_ptr<Env> base(NewMemEnv());
+  WalGateEnv gate(base.get());
+  Options options;
+  options.env = &gate;
+  options.write_buffer_size = 64 << 10;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/wg_post_commit", &db).ok());
+
+  gate.FailTableCreates(true);
+  const std::string value(100, 'v');
+  int acked = 0;
+  Status s;
+  for (; acked < 10000; acked++) {
+    s = db->Put({}, TestKey(0, acked), value);
+    if (!s.ok()) {
+      break;
+    }
+  }
+  ASSERT_TRUE(s.IsIOError()) << s.ToString();
+  ASSERT_GT(acked, 100);
+  const std::string refused = TestKey(0, acked);
+  // Sticky: later writes are refused too, and no refused write is visible.
+  EXPECT_TRUE(db->Put({}, TestKey(1, 0), value).IsIOError());
+  std::string got;
+  EXPECT_TRUE(db->Get({}, refused, &got).IsNotFound());
+  for (int i = 0; i < acked; i++) {
+    ASSERT_TRUE(db->Get({}, TestKey(0, i), &got).ok()) << i;
+  }
+
+  db.reset();
+  gate.FailTableCreates(false);
+  ASSERT_TRUE(DB::Open(options, "/wg_post_commit", &db).ok());
+  for (int i = 0; i < acked; i++) {
+    ASSERT_TRUE(db->Get({}, TestKey(0, i), &got).ok()) << i;
+    EXPECT_EQ(got, value);
+  }
+  EXPECT_TRUE(db->Get({}, refused, &got).IsNotFound());
+  EXPECT_TRUE(db->Get({}, TestKey(1, 0), &got).IsNotFound());
 }
 
 // WriteOptions::sync keeps its durable-at-ack guarantee in the relaxed
