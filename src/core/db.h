@@ -1,6 +1,7 @@
 #ifndef LSMLAB_CORE_DB_H_
 #define LSMLAB_CORE_DB_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -10,6 +11,7 @@
 #include "core/dbformat.h"
 #include "core/options.h"
 #include "core/write_batch.h"
+#include "obs/tickers.h"
 #include "util/iterator.h"
 #include "util/slice.h"
 #include "util/status.h"
@@ -23,7 +25,7 @@ class Snapshot {
   virtual SequenceNumber sequence() const = 0;
 };
 
-/// Read-path and shape statistics; see DB::GetStats.
+/// Shape, gauge and counter statistics; see DB::GetStats.
 struct DBStats {
   // Shape.
   int num_levels = 0;
@@ -33,11 +35,22 @@ struct DBStats {
   std::vector<int> runs_per_level;
   std::vector<uint64_t> bytes_per_level;
 
-  // Write path.
-  uint64_t bytes_flushed = 0;       ///< user data written by flushes
-  uint64_t bytes_compacted = 0;     ///< bytes written by compactions
-  uint64_t compactions = 0;
-  uint64_t flushes = 0;
+  // Gauges.
+  size_t index_filter_memory = 0;  ///< bytes of in-memory metadata
+  uint64_t value_log_bytes = 0;    ///< key-value separation
+  uint64_t value_log_files = 0;
+
+  // One field per ticker, named by the third column of LSMLAB_TICKERS
+  // (obs/tickers.h, which documents each counter). The registry
+  // reconciles wal_syncs + wal_sync_skipped == group_commits (every group
+  // either syncs or is counted as skipped), parallel_applies +
+  // serial_applies == group_commits (each group takes exactly one apply
+  // path; see Options::allow_concurrent_memtable_write), and — absent
+  // write errors — group_commits + group_followers == writes.
+#define LSMLAB_DBSTATS_FIELD(enumerator, name, field) uint64_t field = 0;
+  LSMLAB_TICKERS(LSMLAB_DBSTATS_FIELD)
+#undef LSMLAB_DBSTATS_FIELD
+
   /// Write amplification: (flushed + compacted) / flushed.
   double WriteAmplification() const {
     return bytes_flushed == 0
@@ -46,22 +59,6 @@ struct DBStats {
                      static_cast<double>(bytes_flushed);
   }
 
-  // Group commit (see DESIGN.md "Group commit"). The registry reconciles
-  // wal_syncs + wal_sync_skipped == group_commits (every group either
-  // syncs or is counted as skipped), and — absent write errors —
-  // group_commits + group_followers == writes.
-  uint64_t writes = 0;             ///< DB::Write calls (each Put/Delete is one)
-  uint64_t group_commits = 0;      ///< commit groups built by a leader
-  uint64_t group_followers = 0;    ///< writers committed by someone else's group
-  uint64_t wal_syncs = 0;          ///< group commits that synced the WAL
-  uint64_t wal_sync_skipped = 0;   ///< group commits the policy left unsynced
-  uint64_t vlog_syncs = 0;         ///< write-path value-log syncs
-  // Memtable apply phase: parallel_applies + serial_applies ==
-  // group_commits (each group takes exactly one apply path; see
-  // Options::allow_concurrent_memtable_write).
-  uint64_t parallel_applies = 0;    ///< groups applied by members concurrently
-  uint64_t serial_applies = 0;      ///< groups applied by the leader serially
-  uint64_t insert_cas_retries = 0;  ///< lost skiplist splice CASes
   /// Mean writers per commit group.
   double MeanWriteGroupSize() const {
     return group_commits == 0
@@ -69,38 +66,15 @@ struct DBStats {
                : static_cast<double>(group_commits + group_followers) /
                      static_cast<double>(group_commits);
   }
+};
 
-  // Write controller (background pipeline; see Options::l0_slowdown_trigger
-  // and Options::l0_stop_trigger).
-  uint64_t write_slowdowns = 0;        ///< writes delayed by the L0 trigger
-  uint64_t write_stalls = 0;           ///< waits on flush/compaction backlog
-  uint64_t write_slowdown_micros = 0;  ///< total delay injected into writers
-  uint64_t write_stall_micros = 0;     ///< total time writers spent blocked
-
-  // Read path.
-  uint64_t gets = 0;
-  uint64_t gets_found = 0;
-  uint64_t memtable_hits = 0;
-  uint64_t runs_probed = 0;            ///< runs consulted after filters
-  uint64_t filter_skips = 0;           ///< runs skipped by point filters
-  uint64_t range_filter_skips = 0;     ///< runs skipped by range filters
-  uint64_t hash_index_hits = 0;
-  uint64_t hash_index_absent = 0;
-  uint64_t learned_index_seeks = 0;
-  size_t index_filter_memory = 0;      ///< bytes of in-memory metadata
-
-  // Batched reads (DB::MultiGet).
-  uint64_t multigets = 0;              ///< MultiGet batches
-  uint64_t multiget_keys = 0;          ///< keys across all batches
-  uint64_t multiget_filter_pruned = 0; ///< per-key probes filters rejected
-  uint64_t multiget_coalesced_block_hits = 0;  ///< keys served by a block
-                                               ///< another key already paid
-                                               ///< for
-
-  // Key-value separation.
-  uint64_t value_log_bytes = 0;
-  uint64_t value_log_files = 0;
-  uint64_t separated_reads = 0;        ///< gets resolved through the vlog
+/// The DBStats field of each ticker, indexed by Ticker:
+/// `stats.*kDBStatsTickerFields[i]` is ticker i's value.
+inline constexpr std::array<uint64_t DBStats::*, kNumTickers>
+    kDBStatsTickerFields = {
+#define LSMLAB_DBSTATS_MEMBER(enumerator, name, field) &DBStats::field,
+        LSMLAB_TICKERS(LSMLAB_DBSTATS_MEMBER)
+#undef LSMLAB_DBSTATS_MEMBER
 };
 
 /// A log-structured merge key-value store over an Env.

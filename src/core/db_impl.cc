@@ -35,8 +35,7 @@ DBImpl::DBImpl(const Options& options, std::string dbname,
   versions_ = std::make_unique<VersionSet>(dbname_, &options_,
                                            table_cache_.get(), &icmp_);
   policy_ = CreateCompactionPolicy(options_, &icmp_, options_.block_cache);
-  mem_ = new MemTable(icmp_, options_.memtable_rep,
-                      options_.memtable_hash_index);
+  mem_ = new MemTable(icmp_, options_.memtable_rep);
   mem_->Ref();
   if (options_.value_separation_threshold > 0) {
     vlog_ = std::make_unique<ValueLog>(options_.env, dbname_,
@@ -489,8 +488,7 @@ Status DBImpl::FreezeMemTableLocked() {
   imm_ = mem_;
   imm_log_number_ = wal_number_;
   imm_wal_to_delete_ = old_wal;
-  mem_ = new MemTable(icmp_, options_.memtable_rep,
-                      options_.memtable_hash_index);
+  mem_ = new MemTable(icmp_, options_.memtable_rep);
   mem_->Ref();
   return Status::OK();
 }
@@ -1621,42 +1619,14 @@ DBStats DBImpl::GetStats() {
     stats.bytes_per_level.push_back(level.TotalBytes());
     stats.total_bytes += level.TotalBytes();
   }
-  stats.bytes_flushed = stats_.Get(Ticker::kBytesFlushed);
-  stats.bytes_compacted = stats_.Get(Ticker::kBytesCompacted);
-  stats.compactions = stats_.Get(Ticker::kCompactions);
-  stats.flushes = stats_.Get(Ticker::kFlushes);
-  stats.gets = stats_.Get(Ticker::kGets);
-  stats.gets_found = stats_.Get(Ticker::kGetsFound);
-  stats.memtable_hits = stats_.Get(Ticker::kMemtableHits);
-  stats.runs_probed = stats_.Get(Ticker::kRunsProbed);
-  stats.filter_skips = stats_.Get(Ticker::kFilterSkips);
-  stats.range_filter_skips = stats_.Get(Ticker::kRangeFilterSkips);
-  stats.multigets = stats_.Get(Ticker::kMultiGets);
-  stats.multiget_keys = stats_.Get(Ticker::kMultiGetKeys);
-  stats.multiget_filter_pruned = stats_.Get(Ticker::kMultiGetFilterPruned);
-  stats.multiget_coalesced_block_hits =
-      stats_.Get(Ticker::kMultiGetCoalescedBlockHits);
-  stats.write_slowdowns = stats_.Get(Ticker::kWriteSlowdowns);
-  stats.write_stalls = stats_.Get(Ticker::kWriteStalls);
-  stats.write_slowdown_micros = stats_.Get(Ticker::kWriteSlowdownMicros);
-  stats.write_stall_micros = stats_.Get(Ticker::kWriteStallMicros);
-  stats.writes = stats_.Get(Ticker::kWrites);
-  stats.group_commits = stats_.Get(Ticker::kWalGroupCommits);
-  stats.group_followers = stats_.Get(Ticker::kWalGroupFollowers);
-  stats.wal_syncs = stats_.Get(Ticker::kWalSyncs);
-  stats.wal_sync_skipped = stats_.Get(Ticker::kWalSyncSkipped);
-  stats.vlog_syncs = stats_.Get(Ticker::kVlogSyncs);
-  stats.parallel_applies = stats_.Get(Ticker::kMemtableParallelApplies);
-  stats.serial_applies = stats_.Get(Ticker::kMemtableSerialApplies);
-  stats.insert_cas_retries = stats_.Get(Ticker::kMemtableInsertCasRetries);
-  stats.hash_index_hits = stats_.Get(Ticker::kHashIndexHits);
-  stats.hash_index_absent = stats_.Get(Ticker::kHashIndexAbsent);
-  stats.learned_index_seeks = stats_.Get(Ticker::kLearnedIndexSeeks);
+  const StatsRegistry::TickerValues tickers = stats_.GetTickers();
+  for (size_t i = 0; i < kNumTickers; i++) {
+    stats.*kDBStatsTickerFields[i] = tickers[i];
+  }
   stats.index_filter_memory = table_cache_->IndexMemoryUsage();
   if (vlog_ != nullptr) {
     stats.value_log_bytes = vlog_->TotalBytes();
     stats.value_log_files = vlog_->NumFiles();
-    stats.separated_reads = stats_.Get(Ticker::kSeparatedReads);
   }
   return stats;
 }

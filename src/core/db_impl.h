@@ -71,6 +71,9 @@ class DBImpl : public DB {
   DBStats GetStats() override;
   bool GetProperty(const Slice& property, std::string* value) override;
   std::string DebugShape() override;
+  /// The tickers and histograms behind GetStats and "lsmlab.stats"; read
+  /// directly by ShardedDB to sum its shards.
+  const StatsRegistry& stats_registry() const { return stats_; }
 
   /// True iff the calling thread holds the DB mutex. Test hook for the
   /// listener contract ("callbacks never run under mu_"). Holder tracking

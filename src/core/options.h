@@ -137,17 +137,22 @@ struct Options {
   int num_shards = 1;
 
   // --- Memtable (I-2, II-4) ----------------------------------------------
+  /// Write-buffer representation. kSkipList (default) serves readers
+  /// lock-free and supports the parallel group apply below;
+  /// kSortedVector readers take the memtable's private lock, and its
+  /// iterators copy the entry pointers when created. (The memtable's
+  /// optional hash index is not a DB option: its O(1) path answers only
+  /// latest-version lookups, and every DB read looks up at a snapshot
+  /// sequence. bench_memtable measures it at the memtable layer.)
   MemTable::Rep memtable_rep = MemTable::Rep::kSkipList;
-  bool memtable_hash_index = false;
   /// Parallel group apply: group-commit followers insert their own
   /// sub-batches into the memtable concurrently (lock-free skiplist CAS
   /// splice) instead of waiting for the leader to apply the whole group
   /// under the DB mutex. Takes effect only for the kSkipList rep without
-  /// the hash index and without key-value separation; other
-  /// configurations keep the serial leader apply (the memtable.
-  /// parallel_applies / memtable.serial_applies tickers show which path
-  /// ran). Readers are unaffected: last_sequence still publishes once per
-  /// group, after every member's inserts land.
+  /// key-value separation; other configurations keep the serial leader
+  /// apply (the memtable.parallel_applies / memtable.serial_applies
+  /// tickers show which path ran). Readers are unaffected: last_sequence
+  /// still publishes once per group, after every member's inserts land.
   bool allow_concurrent_memtable_write = false;
 
   // --- Point filters (II-2, II-5) ----------------------------------------

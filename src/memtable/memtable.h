@@ -11,6 +11,7 @@
 #include "memtable/skiplist.h"
 #include "util/arena.h"
 #include "util/iterator.h"
+#include "util/mutex.h"
 #include "util/status.h"
 
 namespace lsmlab {
@@ -26,9 +27,16 @@ namespace lsmlab {
 ///  - kSortedVector: contiguous array kept sorted; cache-friendly searches,
 ///    O(n) inserts — the "sorted dense buffer" design point.
 ///
+/// Readers are safe against the writer. Skiplist readers take no lock; an
+/// insert into the vector may reallocate it, so vector-rep Adds and Gets
+/// hold a private mutex, and a vector-rep iterator works on a copy of the
+/// entry pointers taken when it is created (entries are arena-stable).
+///
 /// An optional hash index (tutorial §II-4: per-page hash maps) maps user
 /// keys to their newest entry for O(1) latest-version Gets; snapshot reads
-/// fall back to the ordered search.
+/// fall back to the ordered search. It is an unsynchronized map, so a
+/// memtable with the hash index serves one thread at a time (bench_memtable
+/// measures it; the DB never enables it).
 class MemTable {
  public:
   enum class Rep { kSkipList, kSortedVector };
@@ -100,11 +108,6 @@ class MemTable {
                           const Slice& user_key, const Slice& value,
                           bool concurrent);
 
-  /// Positions the ordered rep at the first entry >= `target` internal
-  /// key; returns nullptr if none. (Vector rep only; skiplist uses its own
-  /// iterator.)
-  size_t VectorLowerBound(const Slice& target) const;
-
   InternalKeyComparator comparator_;
   KeyComparator key_comparator_;
   Rep rep_;
@@ -113,7 +116,10 @@ class MemTable {
   std::atomic<uint64_t> num_entries_{0};
   Arena arena_;
   std::unique_ptr<SkipList<const char*, KeyComparator>> skiplist_;
-  std::vector<const char*> vector_;  // sorted by internal key
+  // The vector rep, sorted by internal key. Only the vector rep takes
+  // vector_mu_: an insert may reallocate vector_ under a concurrent reader.
+  mutable Mutex vector_mu_{LockRank::kMemTableVectorMu};
+  std::vector<const char*> vector_ GUARDED_BY(vector_mu_);
 
   bool use_hash_index_;
   // user key (view into arena memory) -> newest entry

@@ -1,78 +1,47 @@
 #include "obs/perf_context.h"
 
-#include <vector>
-
 namespace lsmlab {
 
 namespace {
 
 thread_local PerfContext t_perf_context;
 
-/// Visits every field once, pairing it with its dump name. Centralizing the
-/// field list here keeps Delta/ToString in lockstep when counters are added.
-template <typename Fn>
-void ForEachField(PerfContext& ctx, const Fn& fn) {
-  fn("block_read_count", ctx.block_read_count);
-  fn("block_read_bytes", ctx.block_read_bytes);
-  fn("block_cache_hit_count", ctx.block_cache_hit_count);
-  fn("block_cache_miss_count", ctx.block_cache_miss_count);
-  fn("filter_probe_count", ctx.filter_probe_count);
-  fn("filter_negative_count", ctx.filter_negative_count);
-  fn("range_filter_probe_count", ctx.range_filter_probe_count);
-  fn("range_filter_negative_count", ctx.range_filter_negative_count);
-  fn("index_seek_count", ctx.index_seek_count);
-  fn("learned_index_seek_count", ctx.learned_index_seek_count);
-  fn("hash_index_hit_count", ctx.hash_index_hit_count);
-  fn("hash_index_absent_count", ctx.hash_index_absent_count);
-  fn("multiget_keys", ctx.multiget_keys);
-  fn("multiget_filter_pruned", ctx.multiget_filter_pruned);
-  fn("multiget_coalesced_block_hits", ctx.multiget_coalesced_block_hits);
-  fn("memtable_hit_count", ctx.memtable_hit_count);
-  fn("merge_iter_seek_count", ctx.merge_iter_seek_count);
-  fn("merge_iter_step_count", ctx.merge_iter_step_count);
-  fn("wal_append_count", ctx.wal_append_count);
-  fn("wal_sync_count", ctx.wal_sync_count);
-  fn("write_queue_wait_micros", ctx.write_queue_wait_micros);
-  fn("memtable_insert_cas_retries", ctx.memtable_insert_cas_retries);
-  fn("get_micros", ctx.get_micros);
-  fn("multiget_micros", ctx.multiget_micros);
-  fn("seek_micros", ctx.seek_micros);
-  fn("next_micros", ctx.next_micros);
-  fn("write_micros", ctx.write_micros);
-  fn("flush_micros", ctx.flush_micros);
-  fn("compaction_micros", ctx.compaction_micros);
-}
+/// Every counter with its dump name, in LSMLAB_PERF_CONTEXT_FIELDS order.
+struct Field {
+  const char* name;
+  uint64_t PerfContext::*member;
+};
+
+constexpr Field kFields[] = {
+#define LSMLAB_PERF_CONTEXT_ENTRY(field) {#field, &PerfContext::field},
+    LSMLAB_PERF_CONTEXT_FIELDS(LSMLAB_PERF_CONTEXT_ENTRY)
+#undef LSMLAB_PERF_CONTEXT_ENTRY
+};
 
 }  // namespace
 
 PerfContext* GetPerfContext() { return &t_perf_context; }
 
 PerfContext PerfContext::Delta(const PerfContext& since) const {
-  PerfContext out = *this;
-  PerfContext base = since;  // mutable copies: one visitor serves both
-  std::vector<uint64_t> base_values;
-  ForEachField(base, [&base_values](const char*, uint64_t& value) {
-    base_values.push_back(value);
-  });
-  size_t i = 0;
-  ForEachField(out, [&base_values, &i](const char*, uint64_t& value) {
-    value -= base_values[i++];
-  });
+  PerfContext out;
+  for (const Field& f : kFields) {
+    out.*f.member = this->*f.member - since.*f.member;
+  }
   return out;
 }
 
 std::string PerfContext::ToString(bool include_zero) const {
   std::string out;
-  PerfContext copy = *this;
-  ForEachField(copy, [&out, include_zero](const char* name, uint64_t& value) {
+  for (const Field& f : kFields) {
+    const uint64_t value = this->*f.member;
     if (value == 0 && !include_zero) {
-      return;
+      continue;
     }
-    out.append(name);
+    out.append(f.name);
     out.push_back('=');
     out.append(std::to_string(value));
     out.push_back('\n');
-  });
+  }
   return out;
 }
 

@@ -5,6 +5,57 @@
 #include <cstdint>
 #include <string>
 
+/// The one list of PerfContext counters: the struct fields, ToString and
+/// Delta are all generated from it, so adding a counter means adding one
+/// row. X-macro row format: X(field)
+#define LSMLAB_PERF_CONTEXT_FIELDS(X)                                        \
+  /* Block I/O (counted inside format::ReadBlock, i.e. at exactly the */     \
+  /* granularity the Env-level IoStats sees its Read calls). Block reads */  \
+  /* are physical fetches (cache misses and uncached reads); their bytes */  \
+  /* include the trailer. */                                                 \
+  X(block_read_count)                                                        \
+  X(block_read_bytes)                                                        \
+  X(block_cache_hit_count)                                                   \
+  X(block_cache_miss_count)                                                  \
+  /* Point filters: monolithic + partitioned probes, and the probes that */  \
+  /* rejected the table. */                                                  \
+  X(filter_probe_count)                                                      \
+  X(filter_negative_count)                                                   \
+  X(range_filter_probe_count)                                                \
+  X(range_filter_negative_count)                                             \
+  /* Index: fence-pointer (index block) seeks, then the alternatives. */     \
+  X(index_seek_count)                                                        \
+  X(learned_index_seek_count)                                                \
+  X(hash_index_hit_count)                                                    \
+  X(hash_index_absent_count)                                                 \
+  /* Batched reads (DB::MultiGet): keys submitted across batches, */         \
+  /* per-key table probes a filter rejected before any block I/O, and */     \
+  /* keys served by a block another key already paid for. */                 \
+  X(multiget_keys)                                                           \
+  X(multiget_filter_pruned)                                                  \
+  X(multiget_coalesced_block_hits)                                           \
+  /* Memtable / merge: Seek/SeekToFirst/SeekToLast fanouts and */            \
+  /* Next/Prev advances. */                                                  \
+  X(memtable_hit_count)                                                      \
+  X(merge_iter_seek_count)                                                   \
+  X(merge_iter_step_count)                                                   \
+  /* WAL. */                                                                 \
+  X(wal_append_count)                                                        \
+  X(wal_sync_count)                                                          \
+  /* Group commit: time parked in the writer queue before a leader */        \
+  /* committed us (or we became leader ourselves), and the skiplist */       \
+  /* splice CASes this writer lost during a parallel group apply. */         \
+  X(write_queue_wait_micros)                                                 \
+  X(memtable_insert_cas_retries)                                             \
+  /* Phase timers (microseconds); multiget_micros is whole batches. */       \
+  X(get_micros)                                                              \
+  X(multiget_micros)                                                         \
+  X(seek_micros)                                                             \
+  X(next_micros)                                                             \
+  X(write_micros)                                                            \
+  X(flush_micros)                                                            \
+  X(compaction_micros)
+
 namespace lsmlab {
 
 /// Per-operation, per-thread counters for the read/write paths.
@@ -21,58 +72,9 @@ namespace lsmlab {
 /// operation, subtract. Or Reset() and read absolute values when the thread
 /// runs one operation at a time.
 struct PerfContext {
-  // --- Block I/O (counted inside format::ReadBlock, i.e. at exactly the
-  // --- granularity the Env-level IoStats sees its Read calls) -------------
-  uint64_t block_read_count = 0;   ///< physical block fetches (cache misses
-                                   ///< and uncached reads)
-  uint64_t block_read_bytes = 0;   ///< bytes of those fetches (incl. trailer)
-  uint64_t block_cache_hit_count = 0;
-  uint64_t block_cache_miss_count = 0;
-
-  // --- Point filters ------------------------------------------------------
-  uint64_t filter_probe_count = 0;     ///< monolithic + partitioned probes
-  uint64_t filter_negative_count = 0;  ///< probes that rejected the table
-  uint64_t range_filter_probe_count = 0;
-  uint64_t range_filter_negative_count = 0;
-
-  // --- Index --------------------------------------------------------------
-  uint64_t index_seek_count = 0;    ///< fence-pointer (index block) seeks
-  uint64_t learned_index_seek_count = 0;
-  uint64_t hash_index_hit_count = 0;
-  uint64_t hash_index_absent_count = 0;
-
-  // --- Batched reads (DB::MultiGet) ---------------------------------------
-  uint64_t multiget_keys = 0;            ///< keys submitted across batches
-  uint64_t multiget_filter_pruned = 0;   ///< per-key table probes a filter
-                                         ///< rejected before any block I/O
-  uint64_t multiget_coalesced_block_hits = 0;  ///< keys served by a block
-                                               ///< another key already paid for
-
-  // --- Memtable / merge ---------------------------------------------------
-  uint64_t memtable_hit_count = 0;
-  uint64_t merge_iter_seek_count = 0;  ///< Seek/SeekToFirst/SeekToLast fanouts
-  uint64_t merge_iter_step_count = 0;  ///< Next/Prev advances
-
-  // --- WAL ----------------------------------------------------------------
-  uint64_t wal_append_count = 0;
-  uint64_t wal_sync_count = 0;
-
-  // --- Group commit -------------------------------------------------------
-  uint64_t write_queue_wait_micros = 0;  ///< time parked in the writer queue
-                                         ///< before a leader committed us (or
-                                         ///< we became leader ourselves)
-  uint64_t memtable_insert_cas_retries = 0;  ///< skiplist splice CASes this
-                                             ///< writer lost during a
-                                             ///< parallel group apply
-
-  // --- Phase timers (microseconds) ----------------------------------------
-  uint64_t get_micros = 0;
-  uint64_t multiget_micros = 0;  ///< whole batches, not per key
-  uint64_t seek_micros = 0;
-  uint64_t next_micros = 0;
-  uint64_t write_micros = 0;
-  uint64_t flush_micros = 0;
-  uint64_t compaction_micros = 0;
+#define LSMLAB_PERF_CONTEXT_FIELD(field) uint64_t field = 0;
+  LSMLAB_PERF_CONTEXT_FIELDS(LSMLAB_PERF_CONTEXT_FIELD)
+#undef LSMLAB_PERF_CONTEXT_FIELD
 
   void Reset() { *this = PerfContext(); }
 

@@ -1,167 +1,85 @@
 #include "obs/stats_registry.h"
 
+#include <utility>
+
 namespace lsmlab {
 
-const char* StatsRegistry::TickerName(Ticker ticker) {
-  switch (ticker) {
-    case Ticker::kGets:
-      return "gets";
-    case Ticker::kGetsFound:
-      return "gets.found";
-    case Ticker::kMemtableHits:
-      return "memtable.hits";
-    case Ticker::kRunsProbed:
-      return "runs.probed";
-    case Ticker::kFilterSkips:
-      return "filter.run_skips";
-    case Ticker::kRangeFilterSkips:
-      return "rangefilter.run_skips";
-    case Ticker::kSeparatedReads:
-      return "vlog.separated_reads";
-    case Ticker::kMultiGets:
-      return "multiget.batches";
-    case Ticker::kMultiGetKeys:
-      return "multiget.keys";
-    case Ticker::kMultiGetFilterPruned:
-      return "multiget.filter_pruned";
-    case Ticker::kMultiGetCoalescedBlockHits:
-      return "multiget.coalesced_block_hits";
-    case Ticker::kBlockReads:
-      return "block.reads";
-    case Ticker::kBlockReadBytes:
-      return "block.read_bytes";
-    case Ticker::kBlockCacheHits:
-      return "block_cache.hits";
-    case Ticker::kBlockCacheMisses:
-      return "block_cache.misses";
-    case Ticker::kFilterProbes:
-      return "filter.probes";
-    case Ticker::kFilterNegatives:
-      return "filter.negatives";
-    case Ticker::kIndexSeeks:
-      return "index.seeks";
-    case Ticker::kLearnedIndexSeeks:
-      return "index.learned_seeks";
-    case Ticker::kHashIndexHits:
-      return "index.hash_hits";
-    case Ticker::kHashIndexAbsent:
-      return "index.hash_absent";
-    case Ticker::kMergeIterSeeks:
-      return "merge_iter.seeks";
-    case Ticker::kMergeIterSteps:
-      return "merge_iter.steps";
-    case Ticker::kWrites:
-      return "writes";
-    case Ticker::kWalAppends:
-      return "wal.appends";
-    case Ticker::kWalSyncs:
-      return "wal.syncs";
-    case Ticker::kWalGroupCommits:
-      return "wal.group_commits";
-    case Ticker::kWalGroupFollowers:
-      return "wal.group_followers";
-    case Ticker::kWalSyncSkipped:
-      return "wal.sync_skipped";
-    case Ticker::kVlogSyncs:
-      return "vlog.syncs";
-    case Ticker::kWriteSlowdowns:
-      return "write.slowdowns";
-    case Ticker::kWriteStalls:
-      return "write.stalls";
-    case Ticker::kWriteSlowdownMicros:
-      return "write.slowdown_micros";
-    case Ticker::kWriteStallMicros:
-      return "write.stall_micros";
-    case Ticker::kMemtableParallelApplies:
-      return "memtable.parallel_applies";
-    case Ticker::kMemtableSerialApplies:
-      return "memtable.serial_applies";
-    case Ticker::kMemtableInsertCasRetries:
-      return "memtable.insert_cas_retries";
-    case Ticker::kFlushes:
-      return "flushes";
-    case Ticker::kCompactions:
-      return "compactions";
-    case Ticker::kBytesFlushed:
-      return "bytes.flushed";
-    case Ticker::kBytesCompacted:
-      return "bytes.compacted";
-    case Ticker::kTableFilesCreated:
-      return "table_files.created";
-    case Ticker::kTableFilesDeleted:
-      return "table_files.deleted";
-    case Ticker::kNumTickers:
-      break;
-  }
-  return "unknown";
-}
+namespace {
 
-const char* StatsRegistry::HistogramName(PhaseHistogram h) {
-  switch (h) {
-    case PhaseHistogram::kGetMicros:
-      return "get_micros";
-    case PhaseHistogram::kMultiGetMicros:
-      return "multiget_micros";
-    case PhaseHistogram::kWriteMicros:
-      return "write_micros";
-    case PhaseHistogram::kWriteGroupSize:
-      return "write_group_size";
-    case PhaseHistogram::kMemtableApplyMicros:
-      return "memtable_apply_micros";
-    case PhaseHistogram::kFlushMicros:
-      return "flush_micros";
-    case PhaseHistogram::kCompactionMicros:
-      return "compaction_micros";
-    case PhaseHistogram::kNumHistograms:
-      break;
+/// The per-subsystem tickers fed by PerfContext deltas: each PerfContext
+/// field on the left is added to the ticker on the right.
+constexpr std::pair<uint64_t PerfContext::*, Ticker> kPerfTickers[] = {
+    {&PerfContext::multiget_keys, Ticker::kMultiGetKeys},
+    {&PerfContext::multiget_filter_pruned, Ticker::kMultiGetFilterPruned},
+    {&PerfContext::multiget_coalesced_block_hits,
+     Ticker::kMultiGetCoalescedBlockHits},
+    {&PerfContext::block_read_count, Ticker::kBlockReads},
+    {&PerfContext::block_read_bytes, Ticker::kBlockReadBytes},
+    {&PerfContext::block_cache_hit_count, Ticker::kBlockCacheHits},
+    {&PerfContext::block_cache_miss_count, Ticker::kBlockCacheMisses},
+    {&PerfContext::filter_probe_count, Ticker::kFilterProbes},
+    {&PerfContext::filter_negative_count, Ticker::kFilterNegatives},
+    {&PerfContext::index_seek_count, Ticker::kIndexSeeks},
+    {&PerfContext::learned_index_seek_count, Ticker::kLearnedIndexSeeks},
+    {&PerfContext::hash_index_hit_count, Ticker::kHashIndexHits},
+    {&PerfContext::hash_index_absent_count, Ticker::kHashIndexAbsent},
+    {&PerfContext::merge_iter_seek_count, Ticker::kMergeIterSeeks},
+    {&PerfContext::merge_iter_step_count, Ticker::kMergeIterSteps},
+    {&PerfContext::wal_append_count, Ticker::kWalAppends},
+    {&PerfContext::wal_sync_count, Ticker::kWalSyncs},
+    {&PerfContext::memtable_insert_cas_retries,
+     Ticker::kMemtableInsertCasRetries},
+};
+
+constexpr const char* kHistogramNames[] = {
+#define LSMLAB_HISTOGRAM_NAME(enumerator, name) name,
+    LSMLAB_PHASE_HISTOGRAMS(LSMLAB_HISTOGRAM_NAME)
+#undef LSMLAB_HISTOGRAM_NAME
+};
+
+}  // namespace
+
+StatsRegistry::TickerValues StatsRegistry::GetTickers() const {
+  TickerValues values;
+  for (size_t i = 0; i < kNumTickers; i++) {
+    values[i] = tickers_[i].load(std::memory_order_relaxed);
   }
-  return "unknown";
+  return values;
 }
 
 void StatsRegistry::MergePerfDelta(const PerfContext& delta) {
-  auto add = [this](Ticker t, uint64_t n) {
-    if (n != 0) {
-      Add(t, n);
+  for (const auto& [field, ticker] : kPerfTickers) {
+    if (delta.*field != 0) {
+      Add(ticker, delta.*field);
     }
-  };
-  add(Ticker::kMultiGetKeys, delta.multiget_keys);
-  add(Ticker::kMultiGetFilterPruned, delta.multiget_filter_pruned);
-  add(Ticker::kMultiGetCoalescedBlockHits,
-      delta.multiget_coalesced_block_hits);
-  add(Ticker::kBlockReads, delta.block_read_count);
-  add(Ticker::kBlockReadBytes, delta.block_read_bytes);
-  add(Ticker::kBlockCacheHits, delta.block_cache_hit_count);
-  add(Ticker::kBlockCacheMisses, delta.block_cache_miss_count);
-  add(Ticker::kFilterProbes, delta.filter_probe_count);
-  add(Ticker::kFilterNegatives, delta.filter_negative_count);
-  add(Ticker::kIndexSeeks, delta.index_seek_count);
-  add(Ticker::kLearnedIndexSeeks, delta.learned_index_seek_count);
-  add(Ticker::kHashIndexHits, delta.hash_index_hit_count);
-  add(Ticker::kHashIndexAbsent, delta.hash_index_absent_count);
-  add(Ticker::kMergeIterSeeks, delta.merge_iter_seek_count);
-  add(Ticker::kMergeIterSteps, delta.merge_iter_step_count);
-  add(Ticker::kWalAppends, delta.wal_append_count);
-  add(Ticker::kWalSyncs, delta.wal_sync_count);
-  add(Ticker::kMemtableInsertCasRetries, delta.memtable_insert_cas_retries);
+  }
 }
 
 std::string StatsRegistry::Dump() const {
+  return DumpTickers(GetTickers()) + DumpHistograms("");
+}
+
+std::string StatsRegistry::DumpTickers(const TickerValues& values) {
   std::string out;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(Ticker::kNumTickers); i++) {
-    const Ticker t = static_cast<Ticker>(i);
+  for (size_t i = 0; i < kNumTickers; i++) {
     out.append("ticker.");
-    out.append(TickerName(t));
+    out.append(kTickerNames[i]);
     out.push_back('=');
-    out.append(std::to_string(Get(t)));
+    out.append(std::to_string(values[i]));
     out.push_back('\n');
   }
+  return out;
+}
+
+std::string StatsRegistry::DumpHistograms(const std::string& prefix) const {
+  std::string out;
   for (uint32_t i = 0;
        i < static_cast<uint32_t>(PhaseHistogram::kNumHistograms); i++) {
-    const PhaseHistogram h = static_cast<PhaseHistogram>(i);
+    out.append(prefix);
     out.append("histogram.");
-    out.append(HistogramName(h));
+    out.append(kHistogramNames[i]);
     out.append(": ");
-    out.append(GetHistogram(h).ToString());
+    out.append(GetHistogram(static_cast<PhaseHistogram>(i)).ToString());
     out.push_back('\n');
   }
   return out;

@@ -7,80 +7,29 @@
 #include <string>
 
 #include "obs/perf_context.h"
+#include "obs/tickers.h"
 #include "util/histogram.h"
 #include "util/mutex.h"
 
+/// Latency distributions kept alongside the tickers, declared once like
+/// LSMLAB_TICKERS. X-macro row format: X(enumerator, "dump_name")
+#define LSMLAB_PHASE_HISTOGRAMS(X)                                      \
+  X(kGetMicros, "get_micros")                                           \
+  X(kMultiGetMicros, "multiget_micros") /* whole batch, not per key */  \
+  X(kWriteMicros, "write_micros")                                       \
+  /* Writers per commit group (a count, not micros). */                 \
+  X(kWriteGroupSize, "write_group_size")                                \
+  /* Group apply phase, WAL I/O excluded (both apply paths). */         \
+  X(kMemtableApplyMicros, "memtable_apply_micros")                      \
+  X(kFlushMicros, "flush_micros")                                       \
+  X(kCompactionMicros, "compaction_micros")
+
 namespace lsmlab {
 
-/// Every named DB-wide counter. Names (TickerName) are stable identifiers:
-/// they appear in GetProperty("lsmlab.stats") dumps that tests and tooling
-/// grep, so renaming one is a breaking change.
-enum class Ticker : uint32_t {
-  // Read path.
-  kGets,
-  kGetsFound,
-  kMemtableHits,
-  kRunsProbed,
-  kFilterSkips,       ///< runs skipped by monolithic point filters
-  kRangeFilterSkips,  ///< runs skipped by range filters
-  kSeparatedReads,
-  // Batched reads (DB::MultiGet).
-  kMultiGets,                    ///< MultiGet batches
-  kMultiGetKeys,                 ///< keys across all batches
-  kMultiGetFilterPruned,         ///< per-key probes pruned by filters
-  kMultiGetCoalescedBlockHits,   ///< keys served by an already-paid block
-  // Per-subsystem read costs (folded in from PerfContext deltas).
-  kBlockReads,
-  kBlockReadBytes,
-  kBlockCacheHits,
-  kBlockCacheMisses,
-  kFilterProbes,
-  kFilterNegatives,
-  kIndexSeeks,
-  kLearnedIndexSeeks,
-  kHashIndexHits,
-  kHashIndexAbsent,
-  kMergeIterSeeks,
-  kMergeIterSteps,
-  // Write path.
-  kWrites,
-  kWalAppends,
-  kWalSyncs,
-  kWalGroupCommits,    ///< commit groups built by a leader
-  kWalGroupFollowers,  ///< writers that rode along in someone else's group
-  kWalSyncSkipped,     ///< group commits the durability policy left unsynced
-  kVlogSyncs,          ///< write-path value-log syncs (skipped when a batch
-                       ///< separated nothing)
-  kWriteSlowdowns,
-  kWriteStalls,
-  kWriteSlowdownMicros,
-  kWriteStallMicros,
-  // Memtable apply phase. parallel + serial applies always sum to
-  // wal.group_commits: every commit group takes exactly one apply path.
-  kMemtableParallelApplies,   ///< groups applied by members concurrently
-  kMemtableSerialApplies,     ///< groups applied by the leader under mu_
-  kMemtableInsertCasRetries,  ///< lost skiplist splice CASes (contention)
-  // Background pipeline.
-  kFlushes,
-  kCompactions,
-  kBytesFlushed,
-  kBytesCompacted,
-  kTableFilesCreated,
-  kTableFilesDeleted,
-
-  kNumTickers,  // sentinel; keep last
-};
-
-/// Latency distributions kept alongside the tickers.
 enum class PhaseHistogram : uint32_t {
-  kGetMicros,
-  kMultiGetMicros,  ///< whole-batch latency, not per key
-  kWriteMicros,
-  kWriteGroupSize,      ///< writers per commit group (count, not micros)
-  kMemtableApplyMicros, ///< group apply phase, WAL I/O excluded (both paths)
-  kFlushMicros,
-  kCompactionMicros,
-
+#define LSMLAB_HISTOGRAM_ENUM(enumerator, name) enumerator,
+  LSMLAB_PHASE_HISTOGRAMS(LSMLAB_HISTOGRAM_ENUM)
+#undef LSMLAB_HISTOGRAM_ENUM
   kNumHistograms,  // sentinel; keep last
 };
 
@@ -92,6 +41,9 @@ enum class PhaseHistogram : uint32_t {
 /// that GetProperty("lsmlab.stats") reports.
 class StatsRegistry {
  public:
+  /// One value per ticker, indexed by Ticker.
+  using TickerValues = std::array<uint64_t, kNumTickers>;
+
   StatsRegistry() {
     for (auto& t : tickers_) {
       t.store(0, std::memory_order_relaxed);
@@ -111,6 +63,9 @@ class StatsRegistry {
         std::memory_order_relaxed);
   }
 
+  /// Every ticker's current value.
+  TickerValues GetTickers() const;
+
   void Record(PhaseHistogram h, double micros) {
     MutexLock lock(&hist_mu_);
     histograms_[static_cast<size_t>(h)].Add(micros);
@@ -127,17 +82,17 @@ class StatsRegistry {
   /// `after.Delta(before)`.
   void MergePerfDelta(const PerfContext& delta);
 
-  /// Full structured dump: one "ticker.<name>=<value>" line per ticker,
-  /// then one "histogram.<name>: ..." summary line per phase histogram.
+  /// Full structured dump: DumpTickers(GetTickers()) + DumpHistograms("").
   std::string Dump() const;
 
-  static const char* TickerName(Ticker ticker);
-  static const char* HistogramName(PhaseHistogram h);
+  /// One "ticker.<name>=<value>" line per ticker, in list order.
+  static std::string DumpTickers(const TickerValues& values);
+
+  /// One "<prefix>histogram.<name>: ..." summary line per phase histogram.
+  std::string DumpHistograms(const std::string& prefix) const;
 
  private:
-  std::array<std::atomic<uint64_t>,
-             static_cast<size_t>(Ticker::kNumTickers)>
-      tickers_;
+  std::array<std::atomic<uint64_t>, kNumTickers> tickers_;
   mutable Mutex hist_mu_{LockRank::kStatsHistMu};
   std::array<Histogram,
              static_cast<size_t>(PhaseHistogram::kNumHistograms)>

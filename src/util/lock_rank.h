@@ -34,7 +34,8 @@
   X(kStatsHistMu, 90, "StatsRegistry::hist_mu_", false)        \
   X(kFaultStateMu, 95, "FaultInjectionEnv::State::mu", true)   \
   X(kMemEnvMu, 100, "MemEnv::mu_", true)                       \
-  X(kPinTrackerMu, 110, "PinTracker::mu_", false)                \
+  X(kPinTrackerMu, 110, "PinTracker::mu_", false)              \
+  X(kMemTableVectorMu, 112, "MemTable::vector_mu_", false)     \
   X(kArenaMu, 115, "Arena::blocks_mu_", false)
 
 namespace lsmlab {

@@ -228,6 +228,72 @@ TEST(ConcurrencyTest, IteratorsStayConsistentDuringBackgroundChurn) {
   EXPECT_EQ(scan_errors.load(), 0);
 }
 
+// Readers are safe against the writer on the sorted-vector memtable too:
+// an insert may reallocate the vector, so Gets take the memtable's lock
+// and iterators work on their own copy of the entry pointers. Under TSan
+// this fails without that lock (the insert's reallocation races the
+// iterator's and Get's reads of the array).
+TEST(ConcurrencyTest, SortedVectorMemtableWriterVsGetAndIterator) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options;
+  options.env = env.get();
+  options.memtable_rep = MemTable::Rep::kSortedVector;
+  options.write_buffer_size = 256 << 10;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/vec", &db).ok());
+
+  constexpr int kPuts = 20000;
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+
+  std::thread writer([&] {
+    for (int i = 0; i < kPuts; i++) {
+      const std::string key = TestKey(0, (i * 7919) % kPuts);
+      ASSERT_TRUE(db->Put({}, key, TestValue(key, i)).ok());
+    }
+  });
+
+  std::thread getter([&] {
+    Random rnd(301);
+    std::string value;
+    while (!done.load(std::memory_order_relaxed)) {
+      const std::string key = TestKey(0, static_cast<int>(rnd.Uniform(kPuts)));
+      const Status s = db->Get({}, key, &value);
+      int version = -1;
+      if (s.ok() ? !ValueConsistent(key, value, &version)
+                 : !s.IsNotFound()) {
+        errors.fetch_add(1);
+      }
+    }
+  });
+
+  std::thread scanner([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      std::unique_ptr<Iterator> it(db->NewIterator({}));
+      std::string prev;
+      int n = 0;
+      for (it->SeekToFirst(); it->Valid() && n < 200; it->Next(), n++) {
+        const std::string key = it->key().ToString();
+        int version = -1;
+        if ((!prev.empty() && key <= prev) ||
+            !ValueConsistent(key, it->value().ToString(), &version)) {
+          errors.fetch_add(1);
+        }
+        prev = key;
+      }
+      if (!it->status().ok()) {
+        errors.fetch_add(1);
+      }
+    }
+  });
+
+  writer.join();
+  done.store(true);
+  getter.join();
+  scanner.join();
+  EXPECT_EQ(errors.load(), 0);
+}
+
 TEST(ConcurrencyTest, StallAndSlowdownCountersFire) {
   std::unique_ptr<Env> env(NewMemEnv());
   Options options;

@@ -329,6 +329,113 @@ TEST_F(PerfContextTest, DeltaAndResetAreFieldwise) {
   EXPECT_EQ(GetPerfContext()->block_read_count, 0u);
   const std::string s = GetPerfContext()->ToString(true);
   EXPECT_NE(s.find("block_read_count=0"), std::string::npos);
+
+  // Every listed field, each bumped by a distinct amount: a Delta that
+  // skips, swaps or double-subtracts a field shows up here.
+  GetPerfContext()->block_read_count = 1000;  // nonzero base
+  before = *GetPerfContext();
+  uint64_t bump = 0;
+#define LSMLAB_TEST_BUMP(field) GetPerfContext()->field += ++bump;
+  LSMLAB_PERF_CONTEXT_FIELDS(LSMLAB_TEST_BUMP)
+#undef LSMLAB_TEST_BUMP
+  const PerfContext all = GetPerfContext()->Delta(before);
+  uint64_t expected = 0;
+  std::string expected_dump;
+#define LSMLAB_TEST_CHECK(field)                  \
+  EXPECT_EQ(all.field, ++expected) << #field;     \
+  expected_dump += #field "=" + std::to_string(expected) + "\n";
+  LSMLAB_PERF_CONTEXT_FIELDS(LSMLAB_TEST_CHECK)
+#undef LSMLAB_TEST_CHECK
+  EXPECT_EQ(all.ToString(), expected_dump);
+
+  GetPerfContext()->Reset();
+  std::string zero_dump;
+#define LSMLAB_TEST_ZERO(field)                        \
+  EXPECT_EQ(GetPerfContext()->field, 0u) << #field;    \
+  zero_dump += #field "=0\n";
+  LSMLAB_PERF_CONTEXT_FIELDS(LSMLAB_TEST_ZERO)
+#undef LSMLAB_TEST_ZERO
+  EXPECT_EQ(GetPerfContext()->ToString(true), zero_dump);
+  EXPECT_EQ(GetPerfContext()->ToString(), "");
+}
+
+// The "lsmlab.stats" line names, in order, exactly as lsmlab printed them
+// before the ticker list became an X-macro. Tooling parses these names
+// (perfbench fails without gets, memtable.hits, runs.probed,
+// filter.run_skips, memtable.{parallel_applies,serial_applies,
+// insert_cas_retries}, wal.group_{commits,followers} and
+// write.{slowdown,stall}_micros), so a rename or reorder must be
+// deliberate: it fails here first.
+TEST_F(PerfContextTest, StatsDumpNamesArePinned) {
+  const std::vector<std::string> kPinned = {
+      "ticker.gets",
+      "ticker.gets.found",
+      "ticker.memtable.hits",
+      "ticker.runs.probed",
+      "ticker.filter.run_skips",
+      "ticker.rangefilter.run_skips",
+      "ticker.vlog.separated_reads",
+      "ticker.multiget.batches",
+      "ticker.multiget.keys",
+      "ticker.multiget.filter_pruned",
+      "ticker.multiget.coalesced_block_hits",
+      "ticker.block.reads",
+      "ticker.block.read_bytes",
+      "ticker.block_cache.hits",
+      "ticker.block_cache.misses",
+      "ticker.filter.probes",
+      "ticker.filter.negatives",
+      "ticker.index.seeks",
+      "ticker.index.learned_seeks",
+      "ticker.index.hash_hits",
+      "ticker.index.hash_absent",
+      "ticker.merge_iter.seeks",
+      "ticker.merge_iter.steps",
+      "ticker.writes",
+      "ticker.wal.appends",
+      "ticker.wal.syncs",
+      "ticker.wal.group_commits",
+      "ticker.wal.group_followers",
+      "ticker.wal.sync_skipped",
+      "ticker.vlog.syncs",
+      "ticker.write.slowdowns",
+      "ticker.write.stalls",
+      "ticker.write.slowdown_micros",
+      "ticker.write.stall_micros",
+      "ticker.memtable.parallel_applies",
+      "ticker.memtable.serial_applies",
+      "ticker.memtable.insert_cas_retries",
+      "ticker.flushes",
+      "ticker.compactions",
+      "ticker.bytes.flushed",
+      "ticker.bytes.compacted",
+      "ticker.table_files.created",
+      "ticker.table_files.deleted",
+      "histogram.get_micros",
+      "histogram.multiget_micros",
+      "histogram.write_micros",
+      "histogram.write_group_size",
+      "histogram.memtable_apply_micros",
+      "histogram.flush_micros",
+      "histogram.compaction_micros",
+  };
+  Open();
+  ASSERT_TRUE(db_->Put({}, "k", "v").ok());
+  std::string dump;
+  ASSERT_TRUE(db_->GetProperty("lsmlab.stats", &dump));
+  std::vector<std::string> names;
+  size_t pos = 0;
+  while (pos < dump.size()) {
+    size_t eol = dump.find('\n', pos);
+    ASSERT_NE(eol, std::string::npos) << "unterminated line";
+    const std::string line = dump.substr(pos, eol - pos);
+    pos = eol + 1;
+    const size_t end = line.rfind("ticker.", 0) == 0 ? line.find('=')
+                                                      : line.find(": ");
+    ASSERT_NE(end, std::string::npos) << line;
+    names.push_back(line.substr(0, end));
+  }
+  EXPECT_EQ(names, kPinned);
 }
 
 }  // namespace

@@ -31,7 +31,6 @@ struct Config {
       TableOptions::IndexType::kBinarySearch;
   bool range_filter = false;
   MemTable::Rep memtable = MemTable::Rep::kSkipList;
-  bool memtable_hash = false;
   bool kv_separation = false;
 };
 
@@ -50,7 +49,6 @@ class ModelCheckTest : public ::testing::TestWithParam<Config> {
     options_.block_hash_index = cfg.hash_index;
     options_.index_type = cfg.index_type;
     options_.memtable_rep = cfg.memtable;
-    options_.memtable_hash_index = cfg.memtable_hash;
     if (cfg.block_cache) {
       cache_ = std::make_unique<BlockCache>(64 << 10);  // tiny: evictions
       options_.block_cache = cache_.get();
@@ -205,8 +203,7 @@ INSTANTIATE_TEST_SUITE_P(
                .range_filter = true},
         Config{.name = "vector_memtable",
                .policy = MergePolicy::kLeveling,
-               .memtable = MemTable::Rep::kSortedVector,
-               .memtable_hash = true},
+               .memtable = MemTable::Rep::kSortedVector},
         Config{.name = "kv_separation",
                .policy = MergePolicy::kLeveling,
                .kv_separation = true},
@@ -216,7 +213,6 @@ INSTANTIATE_TEST_SUITE_P(
                .block_cache = true,
                .hash_index = true,
                .range_filter = true,
-               .memtable_hash = true,
                .kv_separation = true}),
     [](const ::testing::TestParamInfo<Config>& info) {
       return info.param.name;

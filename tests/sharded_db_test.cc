@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/block_cache.h"
 #include "core/db.h"
 #include "core/sharded_db.h"
 #include "storage/env.h"
@@ -388,6 +389,143 @@ TEST_F(ShardedDBTest, PropertiesAggregateAcrossShards) {
   EXPECT_FALSE(db_->GetProperty("lsmlab.shard.9.stats", &value));
   EXPECT_FALSE(db_->GetProperty("lsmlab.shard.x.stats", &value));
   EXPECT_FALSE(db_->GetProperty("lsmlab.shard.", &value));
+}
+
+/// The lines of a stats dump, without their newlines.
+std::vector<std::string> Lines(const std::string& dump) {
+  std::vector<std::string> lines;
+  size_t pos = 0;
+  while (pos < dump.size()) {
+    size_t eol = dump.find('\n', pos);
+    if (eol == std::string::npos) {
+      eol = dump.size();
+    }
+    lines.push_back(dump.substr(pos, eol - pos));
+    pos = eol + 1;
+  }
+  return lines;
+}
+
+/// The value of dump line "ticker.<name>=<value>"; fails if it is missing.
+uint64_t TickerOf(const std::string& dump, const std::string& name) {
+  const std::string needle = "\nticker." + name + "=";
+  const size_t pos = ("\n" + dump).find(needle);
+  EXPECT_NE(pos, std::string::npos) << name;
+  return pos == std::string::npos
+             ? 0
+             : std::stoull(dump.substr(pos + needle.size() - 1));
+}
+
+// Every ticker of the list, checked on every aggregation path after a
+// mixed workload: DBStats field == dump line (per shard and sharded),
+// sharded GetStats == sum of the shards' GetStats, and sharded
+// "lsmlab.stats" == sum of the "lsmlab.shard.<k>.stats" dumps. Driven by
+// kTickerNames / kDBStatsTickerFields, so a new LSMLAB_TICKERS row is
+// covered without touching this test.
+TEST_F(ShardedDBTest, EveryTickerReconcilesOnEveryAggregationPath) {
+  constexpr int kShards = 4;
+  constexpr int kKeys = 1500;
+  BlockCache cache(64 << 10);
+  Options options = ShardedOptions(kShards);
+  options.write_buffer_size = 8 << 10;
+  options.max_file_size = 8 << 10;
+  options.level0_compaction_trigger = 2;
+  options.block_cache = &cache;
+  options.value_separation_threshold = 100;
+  Open(options);
+
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(db_->Put({}, Key(i), std::string(i % 5 == 0 ? 150 : 20,
+                                                 'a' + i % 26))
+                    .ok());
+  }
+  WriteBatch batch;
+  for (int i = 0; i < kKeys; i += 7) {
+    batch.Delete(Key(i));
+  }
+  ASSERT_TRUE(db_->Write({}, &batch).ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  std::string value;
+  for (int i = 0; i < kKeys + 100; i += 3) {
+    const Status s = db_->Get({}, Key(i), &value);
+    ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+  }
+  std::vector<std::string> key_storage;
+  for (int i = 0; i < 64; i++) {
+    key_storage.push_back(Key(i * 11));
+  }
+  const std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  db_->MultiGet({}, keys, &values, &statuses);
+  std::vector<std::pair<std::string, std::string>> results;
+  ASSERT_TRUE(db_->Scan({}, Key(100), Key(400), 50, &results).ok());
+  {
+    std::unique_ptr<Iterator> it(db_->NewIterator({}));
+    int n = 0;
+    for (it->Seek(Key(700)); it->Valid() && n < 40; it->Next(), n++) {
+    }
+    ASSERT_TRUE(it->status().ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  for (int i = 0; i < kKeys; i += 13) {
+    const Status s = db_->Get({}, Key(i), &value);
+    ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+  }
+
+  auto* sharded = static_cast<ShardedDB*>(db_.get());
+  const DBStats total = db_->GetStats();
+  std::string dump;
+  ASSERT_TRUE(db_->GetProperty("lsmlab.stats", &dump));
+  std::vector<DBStats> shard_stats;
+  std::vector<std::string> shard_dumps(kShards);
+  for (int k = 0; k < kShards; k++) {
+    shard_stats.push_back(sharded->TEST_Shard(k)->GetStats());
+    ASSERT_TRUE(db_->GetProperty(
+        "lsmlab.shard." + std::to_string(k) + ".stats", &shard_dumps[k]));
+  }
+
+  // The sharded dump, byte for byte: the summed ticker lines, then each
+  // shard's histogram lines prefixed "shard.<k>.".
+  std::string expected_dump;
+  size_t nonzero = 0;
+  for (size_t i = 0; i < kNumTickers; i++) {
+    const std::string name = kTickerNames[i];
+    uint64_t DBStats::*field = kDBStatsTickerFields[i];
+    uint64_t stats_sum = 0;
+    uint64_t dump_sum = 0;
+    for (int k = 0; k < kShards; k++) {
+      const uint64_t shard_value = TickerOf(shard_dumps[k], name);
+      EXPECT_EQ(shard_stats[k].*field, shard_value)
+          << name << " on shard " << k;
+      stats_sum += shard_stats[k].*field;
+      dump_sum += shard_value;
+    }
+    EXPECT_EQ(total.*field, TickerOf(dump, name)) << name;
+    EXPECT_EQ(total.*field, stats_sum) << name;
+    expected_dump += "ticker." + name + "=" + std::to_string(dump_sum) + "\n";
+    nonzero += total.*field != 0 ? 1 : 0;
+  }
+  for (int k = 0; k < kShards; k++) {
+    for (const std::string& line : Lines(shard_dumps[k])) {
+      if (line.rfind("ticker.", 0) != 0) {
+        expected_dump += "shard." + std::to_string(k) + "." + line + "\n";
+      }
+    }
+  }
+  EXPECT_EQ(dump, expected_dump);
+
+  // The workload reached the read, batched-read, scan, cache, value-log,
+  // write and background paths, so most rows carry real numbers.
+  EXPECT_GT(total.gets_found, 0u);
+  EXPECT_GT(total.multiget_keys, 0u);
+  EXPECT_GT(total.merge_iter_steps, 0u);
+  EXPECT_GT(total.block_cache_hits, 0u);
+  EXPECT_GT(total.separated_reads, 0u);
+  EXPECT_GT(total.wal_appends, 0u);
+  EXPECT_GT(total.compactions, 0u);
+  EXPECT_GT(total.table_files_deleted, 0u);
+  EXPECT_GE(nonzero, kNumTickers / 2);
 }
 
 TEST_F(ShardedDBTest, CloseWithBackgroundWorkQueuedOnEveryShardIsClean) {
