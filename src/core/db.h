@@ -44,8 +44,8 @@ struct DBStats {
   // (obs/tickers.h, which documents each counter). The registry
   // reconciles wal_syncs + wal_sync_skipped == group_commits (every group
   // either syncs or is counted as skipped), parallel_applies +
-  // serial_applies == group_commits (each group takes exactly one apply
-  // path; see Options::allow_concurrent_memtable_write), and — absent
+  // serial_applies == group_commits (a group has either several appliers
+  // or one; see Options::allow_concurrent_memtable_write), and — absent
   // write errors — group_commits + group_followers == writes.
 #define LSMLAB_DBSTATS_FIELD(enumerator, name, field) uint64_t field = 0;
   LSMLAB_TICKERS(LSMLAB_DBSTATS_FIELD)

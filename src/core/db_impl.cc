@@ -401,7 +401,9 @@ Status DBImpl::RecoverWal(PendingEvents* events) {
     while (reader.ReadRecord(&record, &scratch)) {
       WriteBatch batch;
       batch.SetContentsFrom(record);
-      s = batch.InsertInto(mem_);
+      uint64_t cas_retries = 0;  // a lone inserter never retries
+      // io-under-lock-ok: single-threaded recovery replays under mu_.
+      s = batch.InsertInto(mem_, batch.sequence(), &cas_retries);
       if (!s.ok()) {
         return s;
       }
@@ -456,7 +458,7 @@ Status DBImpl::FreezeMemTableLocked() {
   assert(imm_ == nullptr);
   // Rotation destroys the current WAL writer; the group-commit leader must
   // not be appending to it with mu_ released. Likewise the memtable being
-  // swapped out must not be receiving parallel-apply inserts. Callers
+  // swapped out must not be receiving group-apply inserts. Callers
   // that can race a leader (Flush paths) wait for log_busy_ and
   // apply_busy_ to clear before getting here; the leader itself
   // (MakeRoomForWrite, post-commit inline jobs) freezes while both are

@@ -144,19 +144,24 @@ class DBImpl : public DB {
   /// any member requested sync, and the member count.
   WriteBatch* BuildWriteGroupLocked(Writer** last_writer, bool* group_sync,
                                     uint64_t* writer_count) REQUIRES(mu_);
-  /// Applies the committed group to the memtable. Serial path: the leader
-  /// inserts the concatenated group under mu_ (unchanged from PR 6).
-  /// Parallel path (Options::allow_concurrent_memtable_write, skiplist
-  /// rep, no kv-separation, group of >1): the leader pre-assigns every
-  /// member its sequence offset within the group, wakes the followers to
-  /// insert their own batches outside mu_ (apply_busy_ keeps freeze out),
-  /// inserts its own batch likewise, and waits for the last finisher on
-  /// apply_cv_. Releases and reacquires mu_ on the parallel path. The
-  /// caller publishes last_sequence afterwards, so readers never observe
-  /// a partial group either way.
+  /// Applies the committed group to the memtable with mu_ released
+  /// (apply_busy_ keeps freeze out) and returns the first insert failure.
+  /// With Options::allow_concurrent_memtable_write and no kv-separation,
+  /// every member applies: the leader pre-assigns each member its sequence
+  /// offset within the group, wakes the followers to insert their own
+  /// batches, and inserts its own. Otherwise the leader alone inserts the
+  /// concatenated `group` at `base`. Waits for the last applier on
+  /// apply_cv_. The caller publishes last_sequence afterwards, so readers
+  /// never observe a partial group.
   Status ApplyWriteGroupLocked(Writer* leader, Writer* last_writer,
                                WriteBatch* group, SequenceNumber base,
                                uint64_t writer_count) REQUIRES(mu_);
+  /// One applier's share of a group apply, run by the leader and by each
+  /// member follower: inserts `batch` into mem_ at `base` with mu_
+  /// released, folds a failure into apply_status_, and signals apply_cv_
+  /// if it was the last applier.
+  void ApplyMemberLocked(const WriteBatch* batch, SequenceNumber base)
+      REQUIRES(mu_);
   /// Durability policy (Options::wal_sync_mode): whether the commit whose
   /// WAL record is `record_bytes` long syncs the log. A group containing a
   /// sync writer syncs in every mode; the interval/bytes policies only add
@@ -259,11 +264,12 @@ class DBImpl : public DB {
   /// view, not live state: safe (and intended) to call without mu_.
   void CollectIterators(const ReadView& view, const Slice* lo,
                         const Slice* hi, std::vector<Iterator*>* children);
-  /// Key-value separation: rewrites large values of `updates` into the
-  /// value log, leaving tagged pointers (no-op when disabled). Sets
-  /// *vlog_appended iff at least one value actually moved to the log, so
-  /// the caller can skip the value-log sync otherwise.
-  Status MaybeSeparateBatch(WriteBatch* updates, bool* vlog_appended);
+  /// Key-value separation: moves large values of *group into the value
+  /// log, leaving tagged pointers, and points *group at the rewritten
+  /// batch in group_batch_ (no-op when disabled). Sets *vlog_appended iff
+  /// at least one value actually moved to the log, so the caller can skip
+  /// the value-log sync otherwise.
+  Status MaybeSeparateBatch(WriteBatch** group, bool* vlog_appended);
   bool separation_enabled() const { return vlog_ != nullptr; }
   bool has_listeners() const { return !options_.listeners.empty(); }
   /// User-view iterator over raw (tagged) stored values.
@@ -302,17 +308,16 @@ class DBImpl : public DB {
   /// rotation (FreezeMemTableLocked) must wait for the log to go idle, or
   /// it would destroy the file mid-append.
   bool log_busy_ GUARDED_BY(mu_) = false;
-  /// True while a parallel group apply runs outside mu_ (leader and
-  /// followers inserting into mem_ concurrently). Freeze must wait for it
-  /// exactly as for log_busy_: the memtable about to be swapped out is
-  /// still receiving inserts.
+  /// True while a group apply inserts into mem_ outside mu_. Freeze must
+  /// wait for it exactly as for log_busy_: the memtable about to be
+  /// swapped out is still receiving inserts.
   bool apply_busy_ GUARDED_BY(mu_) = false;
-  /// Members (leader included) still applying their sub-batches; the last
-  /// finisher signals apply_cv_, where the leader waits.
-  uint64_t parallel_pending_ GUARDED_BY(mu_) = 0;
-  /// First member insert failure of the in-flight parallel apply; the
-  /// leader folds it into the group status (and thus bg_error_).
-  Status parallel_status_ GUARDED_BY(mu_);
+  /// Appliers (leader included) still inserting; the last finisher
+  /// signals apply_cv_, where the leader waits.
+  uint64_t apply_pending_ GUARDED_BY(mu_) = 0;
+  /// First insert failure of the in-flight group apply; the leader makes
+  /// it the group status (and thus bg_error_).
+  Status apply_status_ GUARDED_BY(mu_);
   CondVar apply_cv_{&mu_};
   /// Leader-owned scratch and durability-policy state. Not GUARDED_BY:
   /// only the current leader touches these, between setting and clearing

@@ -14,20 +14,19 @@
 //      the durability mode calls for. Readers and job runners proceed
 //      under mu_ meanwhile; only WAL rotation (memtable freeze) must wait
 //      for log_busy_ to clear.
-//   3. The leader re-acquires mu_ and applies the group to the memtable.
-//      Serial path: one InsertInto of the concatenated group under mu_.
-//      Parallel path (Options::allow_concurrent_memtable_write + skiplist
-//      rep, no kv-separation): the leader pre-assigns each member its
-//      sequence offset within the group, sets apply_busy_, and wakes the
-//      followers; every member — leader included — inserts its own batch
-//      outside mu_ through the memtable's concurrent path, and the last
-//      finisher signals the leader (ApplyWriteGroupLocked).
+//   3. The leader re-acquires mu_, sets apply_busy_, and applies the group
+//      to the memtable with mu_ released (ApplyWriteGroupLocked). With
+//      Options::allow_concurrent_memtable_write and no kv-separation, every
+//      member is an applier: the leader pre-assigns each member its
+//      sequence offset within the group and wakes the followers, and each
+//      inserts its own batch. Otherwise the leader is the only applier and
+//      inserts the concatenated group. Either way the appliers run the same
+//      ApplyMemberLocked, and the last finisher signals the leader.
 //   4. The leader publishes last_sequence once, after the whole group is
-//      in (so no reader observes a partial group on either path), pops
-//      the group — completing each follower with the group status — and
-//      signals the next queued writer to lead. Member insert failures
-//      funnel into the group status and poison bg_error_ exactly like a
-//      serial apply failure.
+//      in (so no reader observes a partial group), pops the group —
+//      completing each follower with the group status — and signals the
+//      next queued writer to lead. An applier's insert failure becomes the
+//      group status and poisons bg_error_.
 //   5. Between publishing and popping, the leader runs the write's jobs
 //      (RunWriteJobsLocked): in inline mode the flush of a memtable this
 //      group filled, and its compactions, on this thread with the job
@@ -54,12 +53,12 @@ struct DBImpl::Writer {
   WriteBatch* batch = nullptr;
   bool sync = false;
   bool done = false;
-  // Parallel group apply: the leader sets parallel_base/parallel_apply
-  // under mu_ and signals the member, which applies its own batch outside
-  // mu_ starting at parallel_base, clears the flag, and parks again until
-  // done. Both fields are only touched under mu_.
-  SequenceNumber parallel_base = 0;
-  bool parallel_apply = false;
+  // Group apply with member appliers: the leader sets apply_base/apply
+  // under mu_ and signals the member, which clears the flag, inserts its
+  // own batch starting at apply_base (ApplyMemberLocked), and parks again
+  // until done. Both fields are only touched under mu_.
+  SequenceNumber apply_base = 0;
+  bool apply = false;
   Status status;
   CondVar cv;
 };
@@ -104,33 +103,19 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
   writers_.push_back(&w);
   if (&w != writers_.front()) {
     const auto park_start = std::chrono::steady_clock::now();
-    while (!w.done && !w.parallel_apply && &w != writers_.front()) {
+    while (!w.done && !w.apply && &w != writers_.front()) {
       w.cv.Wait();
     }
     GetPerfContext()->write_queue_wait_micros += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - park_start)
             .count());
-    if (w.parallel_apply) {
-      // Woken mid-group to apply our own sub-batch at the sequence offset
-      // the leader assigned (see ApplyWriteGroupLocked). The leader still
-      // owns the group: apply outside mu_, report in, and park again for
-      // the commit status.
-      MemTable* mem = mem_;
-      mu_.Unlock();
-      uint64_t cas_retries = 0;
-      const Status as =
-          w.batch->InsertIntoConcurrent(mem, w.parallel_base, &cas_retries);
-      GetPerfContext()->memtable_insert_cas_retries += cas_retries;
-      mu_.Lock();
-      w.parallel_apply = false;
-      if (!as.ok() && parallel_status_.ok()) {
-        parallel_status_ = as;
-      }
-      assert(parallel_pending_ > 0);
-      if (--parallel_pending_ == 0) {
-        apply_cv_.Signal();
-      }
+    if (w.apply) {
+      // Woken mid-group to apply our own batch at the sequence offset the
+      // leader assigned (see ApplyWriteGroupLocked). The leader still owns
+      // the group: apply, report in, and park again for the commit status.
+      w.apply = false;
+      ApplyMemberLocked(w.batch, w.apply_base);
       while (!w.done) {
         w.cv.Wait();
       }
@@ -174,7 +159,7 @@ Status DBImpl::WriteImpl(const WriteOptions& options, WriteBatch* updates,
 
     PerfContext* perf = GetPerfContext();
     bool vlog_appended = false;
-    s = MaybeSeparateBatch(group, &vlog_appended);
+    s = MaybeSeparateBatch(&group, &vlog_appended);
     group->set_sequence(base);
     const bool want_sync =
         s.ok() && ShouldSyncWal(group_sync, group->Contents().size());
@@ -320,24 +305,20 @@ Status DBImpl::ApplyWriteGroupLocked(Writer* leader, Writer* last_writer,
                                      WriteBatch* group, SequenceNumber base,
                                      uint64_t writer_count) {
   const auto apply_start = std::chrono::steady_clock::now();
-  Status s;
-  // Parallel apply needs a real group (followers to hand work to), the
-  // option on, a memtable rep that takes concurrent inserts, and no
-  // kv-separation: MaybeSeparateBatch rewrote only the concatenated group
-  // (tagging values inline/pointer), so the members' raw batches no
-  // longer match what the WAL recorded — separation keeps the serial
-  // leader-apply of the rewritten group.
-  const bool parallel = writer_count > 1 &&
-                        options_.allow_concurrent_memtable_write &&
-                        vlog_ == nullptr && mem_->SupportsConcurrentInsert();
-  if (!parallel) {
-    stats_.Add(Ticker::kMemtableSerialApplies);
-    s = group->InsertInto(mem_);
-  } else {
-    stats_.Add(Ticker::kMemtableParallelApplies);
-    apply_busy_ = true;
-    parallel_status_ = Status::OK();
-    parallel_pending_ = writer_count;
+  // Every member applies its own batch when the option asks for it, except
+  // under kv-separation: MaybeSeparateBatch rewrote only the concatenated
+  // group (tagging values inline/pointer), so the members' raw batches no
+  // longer match what the WAL recorded, and the leader inserts the group.
+  const uint64_t appliers =
+      options_.allow_concurrent_memtable_write && vlog_ == nullptr
+          ? writer_count
+          : 1;
+  stats_.Add(appliers > 1 ? Ticker::kMemtableParallelApplies
+                          : Ticker::kMemtableSerialApplies);
+  apply_busy_ = true;
+  apply_status_ = Status::OK();
+  apply_pending_ = appliers;
+  if (appliers > 1) {
     // Hand every follower its precomputed sequence offset — the leader's
     // entries come first, then each member in queue order, mirroring the
     // concatenation order of BuildWriteGroupLocked — and wake it.
@@ -345,42 +326,46 @@ Status DBImpl::ApplyWriteGroupLocked(Writer* leader, Writer* last_writer,
     for (auto it = writers_.begin() + 1;; ++it) {
       assert(it != writers_.end());
       Writer* member = *it;
-      member->parallel_base = running;
+      member->apply_base = running;
       running += member->batch->Count();
-      member->parallel_apply = true;
+      member->apply = true;
       member->cv.Signal();
       if (member == last_writer) {
         break;
       }
     }
     assert(running == base + group->Count());
-
-    MemTable* mem = mem_;
-    mu_.Unlock();
-    uint64_t cas_retries = 0;
-    const Status ls =
-        leader->batch->InsertIntoConcurrent(mem, base, &cas_retries);
-    GetPerfContext()->memtable_insert_cas_retries += cas_retries;
-    mu_.Lock();
-    if (!ls.ok() && parallel_status_.ok()) {
-      parallel_status_ = ls;
-    }
-    assert(parallel_pending_ > 0);
-    --parallel_pending_;
-    while (parallel_pending_ > 0) {
-      apply_cv_.Wait();
-    }
-    s = parallel_status_;
-    apply_busy_ = false;
-    // Freeze/flush waiters gate on apply_busy_ exactly like log_busy_.
-    bg_cv_.SignalAll();
   }
+  ApplyMemberLocked(appliers > 1 ? leader->batch : group, base);
+  while (apply_pending_ > 0) {
+    apply_cv_.Wait();
+  }
+  apply_busy_ = false;
+  // Freeze/flush waiters gate on apply_busy_ exactly like log_busy_.
+  bg_cv_.SignalAll();
   stats_.Record(PhaseHistogram::kMemtableApplyMicros,
                 static_cast<double>(
                     std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - apply_start)
                         .count()));
-  return s;
+  return apply_status_;
+}
+
+void DBImpl::ApplyMemberLocked(const WriteBatch* batch, SequenceNumber base) {
+  // apply_busy_ keeps mem_ from being frozen until the last applier is in.
+  MemTable* mem = mem_;
+  mu_.Unlock();
+  uint64_t cas_retries = 0;
+  const Status s = batch->InsertInto(mem, base, &cas_retries);
+  GetPerfContext()->memtable_insert_cas_retries += cas_retries;
+  mu_.Lock();
+  if (!s.ok() && apply_status_.ok()) {
+    apply_status_ = s;
+  }
+  assert(apply_pending_ > 0);
+  if (--apply_pending_ == 0) {
+    apply_cv_.Signal();
+  }
 }
 
 bool DBImpl::ShouldSyncWal(bool group_sync, uint64_t record_bytes) const {
@@ -450,7 +435,7 @@ class SeparatingHandler : public WriteBatch::Handler {
 
 }  // namespace
 
-Status DBImpl::MaybeSeparateBatch(WriteBatch* updates, bool* vlog_appended) {
+Status DBImpl::MaybeSeparateBatch(WriteBatch** group, bool* vlog_appended) {
   *vlog_appended = false;
   if (vlog_ == nullptr) {
     return Status::OK();
@@ -458,14 +443,18 @@ Status DBImpl::MaybeSeparateBatch(WriteBatch* updates, bool* vlog_appended) {
   WriteBatch separated;
   SeparatingHandler handler(vlog_.get(), options_.value_separation_threshold,
                             &separated);
-  Status s = updates->Iterate(&handler);
+  Status s = (*group)->Iterate(&handler);
   if (s.ok()) {
     s = handler.status();
   }
   if (!s.ok()) {
     return s;
   }
-  *updates = separated;
+  // The rewritten group lands in the leader's scratch batch, never in a
+  // caller's: a group of one is the caller's own batch, which it may
+  // reuse for another Write.
+  group_batch_ = std::move(separated);
+  *group = &group_batch_;
   *vlog_appended = handler.separated_count() > 0;
   return Status::OK();
 }

@@ -145,14 +145,15 @@ struct Options {
   /// latest-version lookups, and every DB read looks up at a snapshot
   /// sequence. bench_memtable measures it at the memtable layer.)
   MemTable::Rep memtable_rep = MemTable::Rep::kSkipList;
-  /// Parallel group apply: group-commit followers insert their own
-  /// sub-batches into the memtable concurrently (lock-free skiplist CAS
-  /// splice) instead of waiting for the leader to apply the whole group
-  /// under the DB mutex. Takes effect only for the kSkipList rep without
-  /// key-value separation; other configurations keep the serial leader
-  /// apply (the memtable.parallel_applies / memtable.serial_applies
-  /// tickers show which path ran). Readers are unaffected: last_sequence
-  /// still publishes once per group, after every member's inserts land.
+  /// How many threads insert a commit group into the memtable. Off: the
+  /// leader inserts the whole group. On: every group-commit member
+  /// inserts its own sub-batch at the same time, on either memtable rep.
+  /// Both run the same thread-safe insert outside the DB mutex. Key-value
+  /// separation keeps one applier, since it rewrites only the concatenated
+  /// group (the memtable.parallel_applies / memtable.serial_applies
+  /// tickers count groups with several appliers / one). Readers are
+  /// unaffected: last_sequence still publishes once per group, after
+  /// every applier's inserts land.
   bool allow_concurrent_memtable_write = false;
 
   // --- Point filters (II-2, II-5) ----------------------------------------

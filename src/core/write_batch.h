@@ -46,18 +46,14 @@ class WriteBatch {
   void set_sequence(SequenceNumber seq);
   Slice Contents() const { return Slice(rep_); }
   void SetContentsFrom(const Slice& contents);
-  /// Applies the batch to `mem`, assigning sequence(), sequence()+1, ...
-  Status InsertInto(MemTable* mem) const;
-
-  /// Parallel-group-apply variant: applies the batch to `mem` through the
-  /// thread-safe insert path, assigning base_sequence, base_sequence+1, ...
-  /// (the group-commit leader pre-assigns each member its offset within
-  /// the group, so members apply concurrently yet sequences stay exactly
-  /// the ones the WAL record carries). Safe to run concurrently with
-  /// other members' InsertIntoConcurrent calls on the same memtable.
+  /// Applies the batch to `mem`, assigning base_sequence, base_sequence+1,
+  /// ... Safe to run concurrently with other InsertInto calls on the same
+  /// memtable: the group-commit leader pre-assigns each applier its offset
+  /// within the group, so appliers insert at once yet sequences stay
+  /// exactly the ones the WAL record carries. Recovery passes sequence().
   /// *cas_retries accumulates skiplist splice retries.
-  Status InsertIntoConcurrent(MemTable* mem, SequenceNumber base_sequence,
-                              uint64_t* cas_retries) const;
+  Status InsertInto(MemTable* mem, SequenceNumber base_sequence,
+                    uint64_t* cas_retries) const;
 
  private:
   void SetCount(uint32_t n);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 #include "util/coding.h"
@@ -76,42 +77,30 @@ size_t MemTable::ApproximateMemoryUsage() const {
 }
 
 const char* MemTable::EncodeEntry(SequenceNumber seq, ValueType type,
-                                  const Slice& user_key, const Slice& value,
-                                  bool concurrent) {
+                                  const Slice& user_key, const Slice& value) {
   const size_t internal_key_size = user_key.size() + 8;
   const size_t encoded_len = VarintLength(internal_key_size) +
                              internal_key_size +
                              VarintLength(value.size()) + value.size();
-  char* buf = concurrent ? arena_.AllocateConcurrent(encoded_len)
-                         : arena_.Allocate(encoded_len);
-  std::string scratch;
-  scratch.reserve(encoded_len);
-  PutVarint32(&scratch, static_cast<uint32_t>(internal_key_size));
-  scratch.append(user_key.data(), user_key.size());
-  PutFixed64(&scratch, PackSequenceAndType(seq, type));
-  PutVarint32(&scratch, static_cast<uint32_t>(value.size()));
-  scratch.append(value.data(), value.size());
-  assert(scratch.size() == encoded_len);
-  memcpy(buf, scratch.data(), encoded_len);
+  char* const buf = arena_.Allocate(encoded_len);
+  char* p = EncodeVarint32To(buf, static_cast<uint32_t>(internal_key_size));
+  memcpy(p, user_key.data(), user_key.size());
+  p += user_key.size();
+  EncodeFixed64(p, PackSequenceAndType(seq, type));
+  p += 8;
+  p = EncodeVarint32To(p, static_cast<uint32_t>(value.size()));
+  memcpy(p, value.data(), value.size());
+  assert(p + value.size() == buf + encoded_len);
   return buf;
 }
 
-uint64_t MemTable::AddConcurrent(SequenceNumber seq, ValueType type,
-                                 const Slice& user_key, const Slice& value) {
-  assert(SupportsConcurrentInsert());
-  const char* entry = EncodeEntry(seq, type, user_key, value,
-                                  /*concurrent=*/true);
+uint64_t MemTable::Add(SequenceNumber seq, ValueType type,
+                       const Slice& user_key, const Slice& value) {
+  const char* entry = EncodeEntry(seq, type, user_key, value);
   num_entries_.fetch_add(1, std::memory_order_relaxed);
-  return skiplist_->InsertConcurrently(entry);
-}
-
-void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
-                   const Slice& value) {
-  const char* entry = EncodeEntry(seq, type, user_key, value,
-                                  /*concurrent=*/false);
-  num_entries_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t cas_retries = 0;
   if (rep_ == Rep::kSkipList) {
-    skiplist_->Insert(entry);
+    cas_retries = skiplist_->Insert(entry);
   } else {
     MutexLock lock(&vector_mu_);
     const size_t pos = LowerBound(vector_, comparator_, GetInternalKey(entry));
@@ -123,6 +112,7 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
     // Later Adds have higher sequence numbers, so overwrite unconditionally.
     hash_index_[std::string_view(uk.data(), uk.size())] = entry;
   }
+  return cas_retries;
 }
 
 bool MemTable::Get(const LookupKey& lkey, std::string* value, Status* s) {

@@ -27,10 +27,11 @@ namespace lsmlab {
 ///  - kSortedVector: contiguous array kept sorted; cache-friendly searches,
 ///    O(n) inserts — the "sorted dense buffer" design point.
 ///
-/// Readers are safe against the writer. Skiplist readers take no lock; an
-/// insert into the vector may reallocate it, so vector-rep Adds and Gets
-/// hold a private mutex, and a vector-rep iterator works on a copy of the
-/// entry pointers taken when it is created (entries are arena-stable).
+/// Writers and readers are safe against each other, and writers against
+/// each other. Skiplist writers and readers take no lock; an insert into
+/// the vector may reallocate it, so vector-rep Adds and Gets hold a private
+/// mutex, and a vector-rep iterator works on a copy of the entry pointers
+/// taken when it is created (entries are arena-stable).
 ///
 /// An optional hash index (tutorial §II-4: per-page hash maps) maps user
 /// keys to their newest entry for O(1) latest-version Gets; snapshot reads
@@ -65,25 +66,13 @@ class MemTable {
   /// Iterator yielding internal keys (entry encoding stripped).
   Iterator* NewIterator();
 
-  /// Adds an entry. A deletion is an entry of type kTypeDeletion.
-  /// Single-writer: callers serialize Adds (the classic contract).
-  void Add(SequenceNumber seq, ValueType type, const Slice& user_key,
-           const Slice& value);
-
-  /// Thread-safe Add for the parallel group apply: any number of
-  /// AddConcurrent calls may run simultaneously, alongside lock-free
-  /// readers. REQUIRES: SupportsConcurrentInsert(). Returns the number
-  /// of skiplist CAS retries (memtable.insert_cas_retries ticker).
-  uint64_t AddConcurrent(SequenceNumber seq, ValueType type,
-                         const Slice& user_key, const Slice& value);
-
-  /// True when this memtable accepts AddConcurrent: the skiplist rep
-  /// without the auxiliary hash index. The sorted vector shifts a dense
-  /// array on insert and the hash index is an unsynchronized
-  /// unordered_map — both stay on the serial leader-apply path.
-  bool SupportsConcurrentInsert() const {
-    return rep_ == Rep::kSkipList && !use_hash_index_;
-  }
+  /// Adds an entry. A deletion is an entry of type kTypeDeletion. Any
+  /// number of Adds may run at once, alongside readers: the skiplist rep
+  /// splices lock-free, the vector rep inserts under vector_mu_. Returns
+  /// the number of skiplist CAS retries (memtable.insert_cas_retries).
+  /// With the hash index, Adds must come from one thread at a time.
+  uint64_t Add(SequenceNumber seq, ValueType type, const Slice& user_key,
+               const Slice& value);
 
   /// If a version visible at `lkey`'s snapshot exists, returns true and
   /// sets *value (found) or *s = NotFound (tombstone). Returns false when
@@ -105,14 +94,13 @@ class MemTable {
   ~MemTable() = default;  // only via Unref()
 
   const char* EncodeEntry(SequenceNumber seq, ValueType type,
-                          const Slice& user_key, const Slice& value,
-                          bool concurrent);
+                          const Slice& user_key, const Slice& value);
 
   InternalKeyComparator comparator_;
   KeyComparator key_comparator_;
   Rep rep_;
   std::atomic<int> refs_{0};
-  // Relaxed atomic: bumped by concurrent appliers, read by flush sizing.
+  // Relaxed atomic: bumped by concurrent Adds, read by flush sizing.
   std::atomic<uint64_t> num_entries_{0};
   Arena arena_;
   std::unique_ptr<SkipList<const char*, KeyComparator>> skiplist_;

@@ -61,8 +61,8 @@
   X(kWriteStalls, "write.stalls", write_stalls)                               \
   X(kWriteSlowdownMicros, "write.slowdown_micros", write_slowdown_micros)     \
   X(kWriteStallMicros, "write.stall_micros", write_stall_micros)              \
-  /* Memtable apply phase. parallel + serial applies always sum to */         \
-  /* wal.group_commits: every commit group takes exactly one apply path. */   \
+  /* Memtable apply phase: groups with several appliers / with one. */       \
+  /* They always sum to wal.group_commits. */                                 \
   X(kMemtableParallelApplies, "memtable.parallel_applies", parallel_applies)  \
   X(kMemtableSerialApplies, "memtable.serial_applies", serial_applies)        \
   /* Lost skiplist splice CASes (contention). */                              \

@@ -8,132 +8,63 @@ namespace {
 
 constexpr size_t kBlockSize = 4096;
 
-/// Per-(thread, arena) bump state for the concurrent path. A thread
-/// interleaves at most a handful of live arenas (the active memtable per
-/// shard), so a tiny direct-mapped cache with round-robin eviction
-/// suffices; evicting a slot merely abandons its block remainder.
-/// Slots are keyed by the arena's never-reused id, so a pointer into a
-/// destroyed arena's memory can never be revived by a later arena.
-struct ThreadArenaSlot {
-  uint64_t arena_id = 0;  // 0 = empty (ids start at 1)
-  char* ptr = nullptr;
-  size_t remaining = 0;
-};
-
-constexpr int kThreadArenaSlots = 8;
-thread_local ThreadArenaSlot tls_slots[kThreadArenaSlots];
-thread_local int tls_next_victim = 0;
-
-ThreadArenaSlot* SlotFor(uint64_t arena_id) {
-  for (auto& slot : tls_slots) {
-    if (slot.arena_id == arena_id) {
-      return &slot;
-    }
-  }
-  ThreadArenaSlot* slot = &tls_slots[tls_next_victim];
-  tls_next_victim = (tls_next_victim + 1) % kThreadArenaSlots;
-  slot->arena_id = arena_id;
-  slot->ptr = nullptr;
-  slot->remaining = 0;
-  return slot;
-}
-
-uint64_t NextArenaId() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 }  // namespace
-
-Arena::Arena()
-    : id_(NextArenaId()),
-      alloc_ptr_(nullptr),
-      alloc_bytes_remaining_(0),
-      memory_usage_(0) {}
-
-char* Arena::Allocate(size_t bytes) {
-  assert(bytes > 0);
-  if (bytes <= alloc_bytes_remaining_) {
-    char* result = alloc_ptr_;
-    alloc_ptr_ += bytes;
-    alloc_bytes_remaining_ -= bytes;
-    return result;
-  }
-  return AllocateFallback(bytes);
-}
 
 char* Arena::AllocateAligned(size_t bytes) {
   const size_t align = alignof(max_align_t) > 8 ? alignof(max_align_t) : 8;
   static_assert((alignof(max_align_t) & (alignof(max_align_t) - 1)) == 0,
                 "alignment must be a power of two");
-  size_t current_mod = reinterpret_cast<uintptr_t>(alloc_ptr_) & (align - 1);
-  size_t slop = (current_mod == 0 ? 0 : align - current_mod);
-  size_t needed = bytes + slop;
-  char* result;
-  if (needed <= alloc_bytes_remaining_) {
-    result = alloc_ptr_ + slop;
-    alloc_ptr_ += needed;
-    alloc_bytes_remaining_ -= needed;
-  } else {
-    // AllocateFallback always returns naturally aligned memory.
-    result = AllocateFallback(bytes);
-  }
+  char* result = AllocateImpl(bytes, align);
   assert((reinterpret_cast<uintptr_t>(result) & (align - 1)) == 0);
   return result;
 }
 
-char* Arena::AllocateAlignedConcurrent(size_t bytes) {
-  const size_t align = alignof(max_align_t) > 8 ? alignof(max_align_t) : 8;
-  return ConcurrentImpl(bytes, align);
+char* Arena::TryBump(Block* block, size_t bytes, size_t align) {
+  char* const base = block->data.get();
+  size_t used = block->used.load();
+  for (;;) {
+    const size_t mod = reinterpret_cast<uintptr_t>(base + used) & (align - 1);
+    const size_t slop = (mod == 0 ? 0 : align - mod);
+    if (bytes + slop > block->size - used) {
+      return nullptr;
+    }
+    if (block->used.compare_exchange_weak(used, used + slop + bytes)) {
+      return base + used + slop;
+    }
+  }
 }
 
-char* Arena::ConcurrentImpl(size_t bytes, size_t align) {
+char* Arena::AllocateImpl(size_t bytes, size_t align) {
   assert(bytes > 0);
   assert((align & (align - 1)) == 0);
-  ThreadArenaSlot* slot = SlotFor(id_);
-  const size_t mod = reinterpret_cast<uintptr_t>(slot->ptr) & (align - 1);
-  const size_t slop = (mod == 0 ? 0 : align - mod);
-  if (bytes + slop <= slot->remaining) {
-    char* result = slot->ptr + slop;
-    slot->ptr += bytes + slop;
-    slot->remaining -= bytes + slop;
-    return result;
+  for (;;) {
+    Block* block = current_.load();
+    if (block != nullptr) {
+      if (char* result = TryBump(block, bytes, align)) {
+        return result;
+      }
+    }
+    MutexLock lock(&blocks_mu_);
+    if (bytes > kBlockSize / 4) {
+      // Large objects get their own block so the current one keeps its
+      // remainder; operator new[] memory is naturally aligned.
+      return AllocateNewBlock(bytes)->data.get();
+    }
+    if (current_.load() != block) {
+      continue;  // another thread refilled meanwhile: bump its block
+    }
+    Block* fresh = AllocateNewBlock(kBlockSize);
+    fresh->used.store(bytes);
+    current_.store(fresh);
+    return fresh->data.get();  // fresh blocks are naturally aligned
   }
-
-  MutexLock lock(&blocks_mu_);
-  if (bytes > kBlockSize / 4) {
-    // Own block for large objects; operator new[] memory is naturally
-    // aligned, and the thread keeps its current bump block.
-    return AllocateNewBlock(bytes);
-  }
-  char* block = AllocateNewBlock(kBlockSize);
-  slot->ptr = block + bytes;  // fresh blocks are naturally aligned
-  slot->remaining = kBlockSize - bytes;
-  return block;
 }
 
-char* Arena::AllocateFallback(size_t bytes) {
-  MutexLock lock(&blocks_mu_);
-  if (bytes > kBlockSize / 4) {
-    // Large objects get their own block so we do not waste the remainder of
-    // the current block.
-    return AllocateNewBlock(bytes);
-  }
-
-  alloc_ptr_ = AllocateNewBlock(kBlockSize);
-  alloc_bytes_remaining_ = kBlockSize;
-
-  char* result = alloc_ptr_;
-  alloc_ptr_ += bytes;
-  alloc_bytes_remaining_ -= bytes;
-  return result;
-}
-
-char* Arena::AllocateNewBlock(size_t block_bytes) {
-  blocks_.push_back(std::make_unique<char[]>(block_bytes));
+Arena::Block* Arena::AllocateNewBlock(size_t block_bytes) {
+  blocks_.emplace_back(block_bytes);
   memory_usage_.fetch_add(block_bytes + sizeof(char*),
                           std::memory_order_relaxed);
-  return blocks_.back().get();
+  return &blocks_.back();
 }
 
 }  // namespace lsmlab

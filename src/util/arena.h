@@ -4,74 +4,68 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <vector>
 
 #include "util/mutex.h"
 
 namespace lsmlab {
 
-/// Bump allocator backing the memtable skiplist.
+/// Bump allocator backing the memtable.
 ///
 /// Allocations are never individually freed; all memory is released when the
 /// Arena is destroyed (which is when the memtable is dropped after a flush).
 /// MemoryUsage() is what the engine compares against the write-buffer size
 /// to decide when to flush.
 ///
-/// Two allocation paths share the block list:
-///  - Allocate()/AllocateAligned(): the classic single-writer bump pointer.
-///  - AllocateConcurrent()/AllocateAlignedConcurrent(): each thread bumps a
-///    private per-thread block (no synchronization on the hot path); only
-///    block refills take blocks_mu_. Used by the parallel group apply,
-///    where group-commit followers insert into the memtable simultaneously.
-/// The two paths may be interleaved over the arena's lifetime but carry
-/// their own contracts: the serial calls assume no other allocation (of
-/// either flavor) is in flight, exactly the single-writer discipline the
-/// serial memtable Add path already has.
+/// Any number of threads may allocate at once. All of them bump one shared
+/// block through a CAS on its offset; only refills and large objects take
+/// blocks_mu_. Blocks fill in allocation order whichever thread asks, so
+/// MemoryUsage() tracks the bytes stored, not the number of writers, and a
+/// lone thread's allocations are those of the classic single-writer arena.
 class Arena {
  public:
-  Arena();
+  Arena() = default;
   ~Arena() = default;
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
   /// Returns a pointer to a newly allocated block of `bytes` bytes.
-  char* Allocate(size_t bytes);
+  char* Allocate(size_t bytes) { return AllocateImpl(bytes, 1); }
 
   /// Allocate with the platform's pointer alignment (for node structs).
   char* AllocateAligned(size_t bytes);
 
-  /// Thread-safe Allocate: any number of threads may call concurrently.
-  char* AllocateConcurrent(size_t bytes) { return ConcurrentImpl(bytes, 1); }
-
-  /// Thread-safe AllocateAligned.
-  char* AllocateAlignedConcurrent(size_t bytes);
-
   /// Total memory reserved by the arena (including block headroom).
   /// Relaxed atomic read; safe from any thread, including while
-  /// concurrent allocations run.
+  /// allocations run.
   size_t MemoryUsage() const {
     return memory_usage_.load(std::memory_order_relaxed);
   }
 
  private:
-  char* AllocateFallback(size_t bytes);
-  char* ConcurrentImpl(size_t bytes, size_t align);
-  char* AllocateNewBlock(size_t block_bytes) REQUIRES(blocks_mu_);
+  struct Block {
+    explicit Block(size_t n) : data(std::make_unique<char[]>(n)), size(n) {}
+    const std::unique_ptr<char[]> data;
+    const size_t size;
+    /// Bytes handed out so far; advanced by CAS while this is current_.
+    std::atomic<size_t> used{0};
+  };
 
-  /// Never-reused id distinguishing this arena in the per-thread block
-  /// cache (see arena.cc): a thread slot left over from a destroyed arena
-  /// can never match a live one.
-  const uint64_t id_;
+  char* AllocateImpl(size_t bytes, size_t align);
+  /// Carves `bytes` at `align` from `block`, or returns nullptr if it no
+  /// longer fits.
+  static char* TryBump(Block* block, size_t bytes, size_t align);
+  Block* AllocateNewBlock(size_t block_bytes) REQUIRES(blocks_mu_);
 
-  char* alloc_ptr_;
-  size_t alloc_bytes_remaining_;
-  /// Guards the block list for both paths (serial refills take it too —
-  /// uncontended — so every push_back is under the same lock).
   Mutex blocks_mu_{LockRank::kArenaMu};
-  std::vector<std::unique_ptr<char[]>> blocks_ GUARDED_BY(blocks_mu_);
-  std::atomic<size_t> memory_usage_;
+  /// A deque so that Block addresses stay put as blocks are added.
+  std::deque<Block> blocks_ GUARDED_BY(blocks_mu_);
+  /// The shared bump block; replaced under blocks_mu_. A thread still
+  /// bumping a replaced block merely uses up its remainder.
+  std::atomic<Block*> current_{nullptr};
+  std::atomic<size_t> memory_usage_{0};
 };
 
 }  // namespace lsmlab

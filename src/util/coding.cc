@@ -14,8 +14,6 @@ void PutFixed64(std::string* dst, uint64_t value) {
   dst->append(buf, sizeof(buf));
 }
 
-namespace {
-
 char* EncodeVarint32To(char* dst, uint32_t v) {
   unsigned char* ptr = reinterpret_cast<unsigned char*>(dst);
   static const int kMsb = 128;
@@ -26,6 +24,8 @@ char* EncodeVarint32To(char* dst, uint32_t v) {
   *(ptr++) = static_cast<unsigned char>(v);
   return reinterpret_cast<char*>(ptr);
 }
+
+namespace {
 
 char* EncodeVarint64To(char* dst, uint64_t v) {
   unsigned char* ptr = reinterpret_cast<unsigned char*>(dst);

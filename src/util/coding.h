@@ -35,6 +35,11 @@ inline uint64_t DecodeFixed64(const char* ptr) {
 void PutFixed32(std::string* dst, uint32_t value);
 void PutFixed64(std::string* dst, uint64_t value);
 
+/// Writes a LEB128 varint32 to dst, which must have room for
+/// VarintLength(value) bytes (at most 5). Returns a pointer just past the
+/// last byte written.
+char* EncodeVarint32To(char* dst, uint32_t value);
+
 /// Appends a LEB128 varint32 to *dst (1-5 bytes).
 void PutVarint32(std::string* dst, uint32_t value);
 /// Appends a LEB128 varint64 to *dst (1-10 bytes).

@@ -91,7 +91,7 @@ TEST(SkipListTest, ConcurrentInsertInterleavedThreads) {
     threads.emplace_back([&, t] {
       uint64_t retries = 0;
       for (uint64_t i = 0; i < kPerThread; i++) {
-        retries += list.InsertConcurrently(i * kThreads + t);
+        retries += list.Insert(i * kThreads + t);
       }
       total_retries.fetch_add(retries, std::memory_order_relaxed);
     });
@@ -124,7 +124,7 @@ TEST(SkipListTest, ConcurrentInsertsVsConcurrentReaders) {
   for (int t = 0; t < kWriters; t++) {
     threads.emplace_back([&, t] {
       for (uint64_t i = 0; i < kPerWriter; i++) {
-        list.InsertConcurrently(i * kWriters + t);
+        list.Insert(i * kWriters + t);
         watermarks[t].store(i + 1, std::memory_order_release);
       }
     });
@@ -313,42 +313,59 @@ TEST_P(MemTableTest, IteratorKeepsTableAliveViaRef) {
   delete it;  // releases the final reference
 }
 
-// Concurrent Add is only supported by the skiplist rep without the hash
-// index, so this test is not parameterized like the ones above.
-TEST(MemTableConcurrentTest, AddConcurrentFromManyThreads) {
-  InternalKeyComparator icmp(BytewiseComparator());
-  MemTable* mem = new MemTable(icmp, MemTable::Rep::kSkipList,
-                               /*use_hash_index=*/false);
-  mem->Ref();
-  ASSERT_TRUE(mem->SupportsConcurrentInsert());
-  for (const auto& [rep, hash_index] :
-       {std::pair{MemTable::Rep::kSortedVector, false},
-        std::pair{MemTable::Rep::kSkipList, true}}) {
-    MemTable* other = new MemTable(icmp, rep, hash_index);
-    other->Ref();
-    EXPECT_FALSE(other->SupportsConcurrentInsert());
-    other->Unref();
-  }
+// Entries are encoded in place: multi-byte varint lengths and a value
+// larger than an arena block must round-trip through Get and the iterator.
+TEST_P(MemTableTest, LongKeyAndValueRoundTrip) {
+  MemTable* mem = NewTable();
+  const std::string key(300, 'k');
+  const std::string value(20000, 'v');
+  mem->Add(1, ValueType::kTypeValue, key, value);
+  mem->Add(2, ValueType::kTypeValue, "short", "");
+  std::string got;
+  Status s;
+  ASSERT_TRUE(mem->Get(LookupKey(key, kMaxSequenceNumber), &got, &s));
+  EXPECT_EQ(got, value);
+  ASSERT_TRUE(mem->Get(LookupKey("short", kMaxSequenceNumber), &got, &s));
+  EXPECT_EQ(got, "");
+  std::unique_ptr<Iterator> it(mem->NewIterator());
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(ExtractUserKey(it->key()).ToString(), key);
+  EXPECT_EQ(ExtractSequence(it->key()), 1u);
+  EXPECT_EQ(it->value().ToString(), value);
+  it.reset();
+  mem->Unref();
+}
 
+// Add is safe from many threads on both reps: the skiplist splices
+// lock-free, the vector inserts under its mutex.
+TEST_P(MemTableTest, AddFromManyThreads) {
+  MemTable* mem = NewTable();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 500;
+  std::atomic<uint64_t> cas_retries{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([&, t] {
-      // Pre-assigned disjoint sequence ranges, as the parallel group apply
-      // hands out: thread t owns sequences [t*kPerThread+1, (t+1)*kPerThread].
+      // Pre-assigned disjoint sequence ranges, as the group apply hands
+      // out: thread t owns sequences [t*kPerThread+1, (t+1)*kPerThread].
       SequenceNumber seq = static_cast<SequenceNumber>(t) * kPerThread + 1;
+      uint64_t retries = 0;
       for (int i = 0; i < kPerThread; i++) {
         const std::string k =
             "w" + std::to_string(t) + "_" + std::to_string(i);
-        mem->AddConcurrent(seq++, ValueType::kTypeValue, k,
-                           "v" + std::to_string(i));
+        retries += mem->Add(seq++, ValueType::kTypeValue, k,
+                            "v" + std::to_string(i));
       }
+      cas_retries.fetch_add(retries);
     });
   }
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(mem->num_entries(), uint64_t{kThreads} * kPerThread);
+  if (GetParam() == MemTable::Rep::kSortedVector) {
+    EXPECT_EQ(cas_retries.load(), 0u);  // no splice, nothing to retry
+  }
   for (int t = 0; t < kThreads; t++) {
     for (int i = 0; i < kPerThread; i++) {
       const std::string k = "w" + std::to_string(t) + "_" + std::to_string(i);
@@ -358,6 +375,17 @@ TEST(MemTableConcurrentTest, AddConcurrentFromManyThreads) {
       EXPECT_EQ(value, "v" + std::to_string(i));
     }
   }
+  std::unique_ptr<Iterator> it(mem->NewIterator());
+  uint64_t count = 0;
+  std::string prev;
+  for (it->SeekToFirst(); it->Valid(); it->Next(), count++) {
+    if (count > 0) {
+      EXPECT_LT(icmp_.Compare(Slice(prev), it->key()), 0);
+    }
+    prev = it->key().ToString();
+  }
+  EXPECT_EQ(count, uint64_t{kThreads} * kPerThread);
+  it.reset();
   mem->Unref();
 }
 

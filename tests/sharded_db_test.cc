@@ -528,6 +528,37 @@ TEST_F(ShardedDBTest, EveryTickerReconcilesOnEveryAggregationPath) {
   EXPECT_GE(nonzero, kNumTickers / 2);
 }
 
+// One thread writing round-robin across many shards fills each shard's
+// memtable as densely as writing the shards one after another: the flush
+// count depends on the entries stored, not on the order in which the
+// shards' memtables are touched.
+TEST_F(ShardedDBTest, InterleavedShardWritesFlushLikeShardByShard) {
+  constexpr int kShards = 16;
+  constexpr int kPerShard = 150;
+  const std::string value(150, 'v');
+  auto flushes = [&](bool shard_by_shard, const std::string& path) {
+    Options options = ShardedOptions(kShards);
+    options.write_buffer_size = 8 << 10;
+    std::unique_ptr<DB> db;
+    EXPECT_TRUE(DB::Open(options, path, &db).ok());
+    std::vector<std::vector<std::string>> keys;
+    for (int s = 0; s < kShards; s++) {
+      keys.push_back(KeysOnShard(kShards, s, kPerShard));
+    }
+    for (int i = 0; i < kShards * kPerShard; i++) {
+      // Round-robin over the shards, or each shard's keys in one run.
+      const int s = shard_by_shard ? i / kPerShard : i % kShards;
+      const int n = shard_by_shard ? i % kPerShard : i / kShards;
+      EXPECT_TRUE(db->Put({}, keys[s][n], value).ok());
+    }
+    return db->GetStats().flushes;
+  };
+  const uint64_t by_shard = flushes(true, "/by_shard");
+  ASSERT_GT(by_shard, static_cast<uint64_t>(kShards));
+  const uint64_t interleaved = flushes(false, "/interleaved");
+  EXPECT_LE(interleaved, by_shard + by_shard / 32 + 1);
+}
+
 TEST_F(ShardedDBTest, CloseWithBackgroundWorkQueuedOnEveryShardIsClean) {
   // Regression for the kDraining contract: destroying a ShardedDB shuts
   // the shared pool down first, so a shard racing its

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/arena.h"
@@ -83,9 +86,13 @@ TEST(CodingTest, Varint32Roundtrip) {
     values.push_back(1u << i);
     values.push_back((1u << i) - 1);
   }
+  std::string raw;  // the same values through the raw-pointer encoder
   for (uint32_t v : values) {
     PutVarint32(&s, v);
+    char buf[5];
+    raw.append(buf, EncodeVarint32To(buf, v) - buf);
   }
+  EXPECT_EQ(raw, s);
   Slice input(s);
   for (uint32_t expected : values) {
     uint32_t v;
@@ -300,6 +307,91 @@ TEST(ArenaTest, AlignedAllocation) {
     arena.Allocate(1);  // misalign the bump pointer
     char* p = arena.AllocateAligned(16);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
+  }
+}
+
+// A lone thread bumps through one block at a time: small allocations share
+// 4 KiB blocks, and a large one gets its own block.
+TEST(ArenaTest, SingleThreadMemoryUsage) {
+  Arena arena;
+  EXPECT_EQ(arena.MemoryUsage(), 0u);
+  const size_t block = 4096 + sizeof(char*);
+  for (int i = 0; i < 40; i++) {
+    arena.Allocate(100);  // 40 * 100 bytes fit one block
+  }
+  EXPECT_EQ(arena.MemoryUsage(), block);
+  arena.Allocate(200);  // no longer fits: a second block
+  EXPECT_EQ(arena.MemoryUsage(), 2 * block);
+  arena.Allocate(5000);  // large: its own block
+  EXPECT_EQ(arena.MemoryUsage(), 2 * block + 5000 + sizeof(char*));
+}
+
+// Any number of threads may allocate at once; every thread's bytes stay
+// intact (no two allocations overlap) and every byte is accounted for.
+TEST(ArenaTest, ConcurrentAllocationFromManyThreads) {
+  Arena arena;
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 2000;
+  std::vector<std::vector<std::pair<char*, size_t>>> allocs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      Random rng(100 + t);
+      for (int i = 0; i < kPerThread; i++) {
+        const size_t n = 1 + rng.Uniform(i % 50 == 0 ? 3000 : 200);
+        char* p = (i % 3 == 0) ? arena.AllocateAligned(n) : arena.Allocate(n);
+        memset(p, 'a' + t, n);
+        allocs[t].emplace_back(p, n);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  size_t total = 0;
+  for (int t = 0; t < kThreads; t++) {
+    for (const auto& [p, n] : allocs[t]) {
+      total += n;
+      for (size_t j = 0; j < n; j++) {
+        ASSERT_EQ(p[j], static_cast<char>('a' + t));
+      }
+    }
+  }
+  EXPECT_GE(arena.MemoryUsage(), total);
+}
+
+// Threads share one bump block: a few small allocations from many threads
+// fill one block, as they would from one thread.
+TEST(ArenaTest, ManyThreadsShareOneBlock) {
+  Arena arena;
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&arena] {
+      for (int i = 0; i < 10; i++) {
+        arena.AllocateAligned(24);
+        arena.Allocate(7);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(arena.MemoryUsage(), 4096 + sizeof(char*));
+}
+
+// One thread interleaving many arenas (one active memtable per shard) uses
+// each arena as if it were the only one.
+TEST(ArenaTest, InterleavedArenasFillTheirOwnBlocks) {
+  constexpr int kArenas = 16;
+  std::vector<std::unique_ptr<Arena>> arenas;
+  for (int a = 0; a < kArenas; a++) {
+    arenas.push_back(std::make_unique<Arena>());
+  }
+  for (int i = 0; i < 40; i++) {
+    for (auto& arena : arenas) {
+      arena->Allocate(100);
+    }
+  }
+  for (auto& arena : arenas) {
+    EXPECT_EQ(arena->MemoryUsage(), 4096 + sizeof(char*));
   }
 }
 

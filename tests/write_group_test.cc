@@ -590,18 +590,38 @@ TEST(WriteGroupTest, GroupCommitRacesWalRotation) {
 
 // ------------------------------------------------ Parallel group apply --
 
-// Stages one deterministic parallel group: X leads alone (serial apply,
-// writer_count == 1) and parks in the gated sync; A, B, C queue behind it
-// with multi-entry batches. Opening the gate lets A lead {A,B,C}, which
-// must apply in parallel: each member inserts its own batch from its own
-// thread at a pre-assigned sequence offset, and the group's sequences stay
-// contiguous across members in queue order.
-TEST(WriteGroupTest, ParallelApplyStagedGroup) {
+// One group-apply configuration. Both memtable reps take inserts from
+// every member at once; key-value separation rewrites the concatenated
+// group, so there the leader is the only applier.
+struct ApplyConfig {
+  const char* name;
+  MemTable::Rep rep;
+  size_t value_separation_threshold;
+  bool members_apply;  // each member of a multi-writer group inserts
+};
+
+class GroupApplyTest : public ::testing::TestWithParam<ApplyConfig> {
+ protected:
+  Options ConfiguredOptions(Env* env) const {
+    Options options;
+    options.env = env;
+    options.allow_concurrent_memtable_write = true;
+    options.memtable_rep = GetParam().rep;
+    options.value_separation_threshold = GetParam().value_separation_threshold;
+    return options;
+  }
+};
+
+// Stages one deterministic group: X leads alone (one applier, writer_count
+// == 1) and parks in the gated sync; A, B, C queue behind it with
+// multi-entry batches. Opening the gate lets A lead {A,B,C}. Where members
+// apply, each inserts its own batch from its own thread at a pre-assigned
+// sequence offset; either way the group's sequences stay contiguous across
+// members in queue order.
+TEST_P(GroupApplyTest, ParallelApplyStagedGroup) {
   std::unique_ptr<Env> base(NewMemEnv());
   WalGateEnv gate(base.get());
-  Options options;
-  options.env = &gate;
-  options.allow_concurrent_memtable_write = true;
+  Options options = ConfiguredOptions(&gate);
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/wg_par", &db).ok());
   DBImpl* impl = static_cast<DBImpl*>(db.get());
@@ -639,13 +659,12 @@ TEST(WriteGroupTest, ParallelApplyStagedGroup) {
   EXPECT_TRUE(sb.ok());
   EXPECT_TRUE(sc.ok());
 
-  // {X} is a single-writer group (serial apply); {A,B,C} must have gone
-  // parallel. Applies of both flavors reconcile exactly with the number
-  // of groups committed.
+  // {X} has one applier; {A,B,C} has three where members apply, else one.
+  // Both tickers reconcile exactly with the number of groups committed.
   const DBStats stats = db->GetStats();
   EXPECT_EQ(stats.group_commits, 2u);
-  EXPECT_EQ(stats.parallel_applies, 1u);
-  EXPECT_EQ(stats.serial_applies, 1u);
+  EXPECT_EQ(stats.parallel_applies, GetParam().members_apply ? 1u : 0u);
+  EXPECT_EQ(stats.serial_applies, GetParam().members_apply ? 1u : 2u);
   EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
             stats.group_commits);
 
@@ -665,16 +684,13 @@ TEST(WriteGroupTest, ParallelApplyStagedGroup) {
   }
 }
 
-// The load-bearing hammer: many writers with multi-entry batches and the
-// parallel path enabled must still assign exactly N*K*E sequences and lose
-// nothing. Run under TSan (tsan-obs leg) this is the proof that the
-// unlocked concurrent inserts and the leader/follower apply handshake are
-// race-free.
-TEST(WriteGroupTest, ParallelApplyContiguousSequencesUnderLoad) {
+// The load-bearing hammer: many writers with multi-entry batches must
+// still assign exactly N*K*E sequences and lose nothing. Run under TSan
+// (tsan-obs leg) this is the proof that the unlocked concurrent inserts
+// and the leader/follower apply handshake are race-free.
+TEST_P(GroupApplyTest, ParallelApplyContiguousSequencesUnderLoad) {
   std::unique_ptr<Env> env(NewMemEnv());
-  Options options;
-  options.env = env.get();
-  options.allow_concurrent_memtable_write = true;
+  Options options = ConfiguredOptions(env.get());
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/wg_par_load", &db).ok());
 
@@ -715,13 +731,65 @@ TEST(WriteGroupTest, ParallelApplyContiguousSequencesUnderLoad) {
     }
   }
 
-  // Every committed group applied exactly once, serially or in parallel.
+  // Every committed group applied exactly once, by one applier or many.
   const DBStats stats = db->GetStats();
   EXPECT_EQ(stats.writes, static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(stats.group_commits + stats.group_followers, stats.writes);
   EXPECT_EQ(stats.parallel_applies + stats.serial_applies,
             stats.group_commits);
+  if (!GetParam().members_apply) {
+    EXPECT_EQ(stats.parallel_applies, 0u);
+  }
 }
+
+// Memtable memory tracks the bytes stored, not the number of threads that
+// inserted them: with a write buffer of two arena blocks, eight writers
+// (whether the leader or every member applies) freeze and flush as often as
+// one writer storing the same entries. The slack covers node heights drawn
+// per thread and larger groups overshooting the buffer.
+TEST_P(GroupApplyTest, ManyWritersFlushLikeOneWriter) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 300;
+  const std::string value(150, 'v');
+  auto flushes = [&](int writers, bool members_apply) {
+    std::unique_ptr<Env> env(NewMemEnv());
+    Options options = ConfiguredOptions(env.get());
+    options.allow_concurrent_memtable_write = members_apply;
+    options.write_buffer_size = 8 << 10;
+    std::unique_ptr<DB> db;
+    EXPECT_TRUE(DB::Open(options, "/wg_flushes", &db).ok());
+    std::vector<std::thread> threads;
+    for (int w = 0; w < writers; w++) {
+      threads.emplace_back([&, w] {
+        for (int t = w; t < kThreads; t += writers) {
+          for (int i = 0; i < kPerThread; i++) {
+            EXPECT_TRUE(db->Put({}, TestKey(t, i), value).ok());
+          }
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    return db->GetStats().flushes;
+  };
+  const uint64_t one_writer = flushes(1, false);
+  ASSERT_GT(one_writer, 10u);
+  for (bool members_apply : {false, true}) {
+    const uint64_t many_writers = flushes(kThreads, members_apply);
+    EXPECT_LE(many_writers, one_writer + one_writer / 32 + 1)
+        << "members_apply=" << members_apply;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, GroupApplyTest,
+    ::testing::Values(
+        ApplyConfig{"SkipList", MemTable::Rep::kSkipList, 0, true},
+        ApplyConfig{"SortedVector", MemTable::Rep::kSortedVector, 0, true},
+        // Threshold 1 separates every non-empty value.
+        ApplyConfig{"ValueSeparation", MemTable::Rep::kSkipList, 1, false}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // A group becomes visible atomically: last_sequence is published once per
 // group, after every member's inserts landed. Readers pin a snapshot and

@@ -7,14 +7,11 @@ may execute while a ranked *no-io* engine mutex is held, except at sites
 explicitly audited with an `io-under-lock-ok:` comment AND listed in
 tools/lock_io_audit.list.
 
-A second leaf class covers the parallel group apply (PR 10): the
-concurrent memtable insert entry points (SkipList::InsertConcurrently,
-MemTable::AddConcurrent, WriteBatch::InsertIntoConcurrent) run outside
-mu_ by design — the whole point is that group members insert in parallel
-without serializing on the DB mutex — so calling one while a no-io
-engine mutex is held is flagged exactly like blocking I/O. The serial
-siblings (Insert/Add/InsertInto) are legitimately called under mu_ and
-are not in the set.
+A second leaf class covers the group apply: the memtable insert entry
+point (WriteBatch::InsertInto) runs outside mu_ by design — group members
+insert at once without serializing on the DB mutex — so calling it while
+a no-io engine mutex is held is flagged exactly like blocking I/O. The one
+audited exception is the WAL replay of single-threaded recovery.
 
 The tool:
   1. scans every .h/.cc under src/ (file list from compile_commands.json when
@@ -69,14 +66,11 @@ RAW_BLOCKING = {
     "fflush", "fopen", "fclose", "stat", "unlink", "mkdir",
     "sleep_for", "sleep_until",
 }
-# Parallel-apply entry points: must run with no no-io engine mutex held
-# (the member-parallel insert region of src/core/db_write.cc). Matched by
-# method name alone — the names are unique to the concurrent memtable
-# path, and their serial siblings (Insert/Add/InsertInto) stay callable
-# under mu_.
-APPLY_BLOCKING = {
-    "InsertConcurrently", "AddConcurrent", "InsertIntoConcurrent",
-}
+# Memtable-apply entry point: must run with no no-io engine mutex held
+# (the group apply of src/core/db_write.cc releases mu_ around it).
+# Matched by method name alone, so only a name unique in src/ qualifies:
+# the lower layers' Add and Insert are common method names.
+APPLY_BLOCKING = {"InsertInto"}
 
 
 class Analyzer(Frontend):
@@ -357,10 +351,9 @@ class WritableFile {
   Status Append(const Slice& s);
   Status Sync();
 };
-class MemTable {
+class WriteBatch {
  public:
-  uint64_t AddConcurrent(int seq);
-  void Add(int seq);
+  Status InsertInto(int seq);
 };
 class Widget {
  public:
@@ -377,7 +370,7 @@ class Widget {
   Mutex mu_{LockRank::kWidgetMu};
   Mutex logger_mu_{LockRank::kLoggerMu};
   std::unique_ptr<WritableFile> file_;
-  MemTable* mem_;
+  WriteBatch* batch_;
 };
 }  // namespace lsmlab
 """
@@ -427,14 +420,13 @@ void Widget::Span() {
 
 void Widget::ApplyLocked() {
   MutexLock l(&mu_);
-  mem_->AddConcurrent(1);  // seeded violation: parallel apply under mu_
+  batch_->InsertInto(1).IgnoreError();  // seeded violation: apply under mu_
 }
 
 void Widget::ApplyUnlocked() {
   mu_.Lock();
-  mem_->Add(1);  // clean: the serial sibling is fine under mu_
   mu_.Unlock();
-  mem_->AddConcurrent(1);  // clean: no lock held
+  batch_->InsertInto(1).IgnoreError();  // clean: no lock held
 }
 
 }  // namespace lsmlab

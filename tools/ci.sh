@@ -138,15 +138,16 @@ leg_tsan_obs() {
   # PerfContext folded into atomic tickers, events staged under mu_ and
   # fired after release, deletions queued from VersionSet cleanups, the
   # group-commit writer queue (leader WAL I/O with mu_ released), the
-  # concurrent memtable (lock-free skiplist inserts + parallel group apply),
-  # and the sharded router (parallel batch fan-out over a shared background
-  # pool). Run just those suites (plus the general concurrency one) under
-  # TSan for a quick signal; the full `tsan` leg still covers everything.
+  # memtable insert path (lock-free skiplist inserts, the CAS-bumped arena
+  # every write allocates from, and the group apply), and the sharded
+  # router (parallel batch fan-out over a shared background pool). Run just
+  # those suites (plus the general concurrency one) under TSan for a quick
+  # signal; the full `tsan` leg still covers everything.
   cmake -B build-ci-tsan -S . \
       -DCMAKE_BUILD_TYPE=Debug -DLSMLAB_SANITIZE=thread >/dev/null
   cmake --build build-ci-tsan -j "$JOBS"
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-      -R 'perf_context_test|listener_test|concurrency_test|crash_test|multiget_test|memtable_test|write_group_test|sharded_db_test'
+      -R 'perf_context_test|listener_test|concurrency_test|crash_test|multiget_test|memtable_test|util_test|write_group_test|sharded_db_test'
 }
 
 leg_asan_ubsan() {
