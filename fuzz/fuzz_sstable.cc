@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "format/sstable_reader.h"
 #include "storage/env.h"
@@ -41,7 +42,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   table->KeyMayMatch("k000123", Hash64("k000123", 7));
   table->RangeMayMatch("k000100", "k000200");
-  table->InternalGet("k000123", "k000123", [](const Slice&, const Slice&) {})
-      .IgnoreError();
+  // Point lookups: a batch of one, then one sorted multi-key batch.
+  // Errors land in each key's status.
+  for (const std::vector<std::string>& keys :
+       {std::vector<std::string>{"k000123"},
+        std::vector<std::string>{"k000000", "k000123", "k000123", "k000123x",
+                                 "k000499", "zzz"}}) {
+    std::vector<BatchGetContext> ctxs(keys.size());
+    std::vector<BatchGetContext*> batch;
+    for (size_t i = 0; i < keys.size(); i++) {
+      ctxs[i].target = keys[i];
+      ctxs[i].searchable = keys[i];
+      ctxs[i].hash = Hash64(Slice(keys[i]));
+      ctxs[i].handler = [](void*, const Slice&, const Slice&) {};
+      batch.push_back(&ctxs[i]);
+    }
+    table->MultiGet(batch, /*use_filter=*/true);
+  }
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include "core/filename.h"
 #include "filter/filter_policy.h"
-#include "obs/perf_context.h"
 
 namespace lsmlab {
 
@@ -27,7 +26,7 @@ TableCache::~TableCache() {
 
 std::shared_ptr<SSTable> TableCache::TrackPin(
     const std::shared_ptr<SSTable>& table, const std::source_location& loc) {
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
   pin_tracker_.Acquire(table.get(), loc);
   PinTracker* tracker = &pin_tracker_;
   // Aliasing wrapper: copies share one pin record; the deleter (which
@@ -168,25 +167,6 @@ Iterator* TableCache::NewIterator(const FileMetaPtr& file) {
   return new TableIterator(iter, std::move(table), file);
 }
 
-Status TableCache::Get(
-    const FileMetaData& meta, const Slice& internal_target,
-    const Slice& user_key, uint64_t hash, bool use_filter,
-    bool* filter_skipped,
-    const std::function<void(const Slice&, const Slice&)>& handler) {
-  *filter_skipped = false;
-  std::shared_ptr<SSTable> table;
-  Status s = FindTable(meta, &table);
-  if (!s.ok()) {
-    return s;
-  }
-  if (use_filter && !table->KeyMayMatch(user_key, hash)) {
-    *filter_skipped = true;
-    return Status::OK();
-  }
-  return table->InternalGet(internal_target, user_key, handler, use_filter,
-                            filter_skipped);
-}
-
 Status TableCache::GetBatch(const FileMetaData& meta,
                             std::span<BatchGetContext* const> keys,
                             bool use_filter) {
@@ -201,20 +181,15 @@ Status TableCache::GetBatch(const FileMetaData& meta,
   }
   // Monolithic filter-first pruning: one probe per key, before any index
   // seek or data-block I/O.
-  std::vector<BatchGetContext*> survivors;
-  survivors.reserve(keys.size());
+  bool any_survivor = false;
   for (BatchGetContext* ctx : keys) {
-    ctx->filter_pruned = false;
     ctx->status = Status::OK();
-    if (use_filter && !table->KeyMayMatch(ctx->searchable, ctx->hash)) {
-      ctx->filter_pruned = true;
-      GetPerfContext()->multiget_filter_pruned++;
-      continue;
-    }
-    survivors.push_back(ctx);
+    ctx->filter_pruned =
+        use_filter && !table->KeyMayMatch(ctx->searchable, ctx->hash);
+    any_survivor |= !ctx->filter_pruned;
   }
-  if (!survivors.empty()) {
-    table->MultiGet(std::span<BatchGetContext* const>(survivors), use_filter);
+  if (any_survivor) {
+    table->MultiGet(keys, use_filter);
   }
   return Status::OK();
 }

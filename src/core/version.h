@@ -92,7 +92,9 @@ struct Run {
 /// The single file of `run` whose [smallest, largest] user-key range covers
 /// `user_key`, or nullptr when no file does. Run files are ordered by
 /// smallest key and pairwise non-overlapping, so a binary search over the
-/// fence pointers suffices. Shared by the Get and MultiGet read paths.
+/// fence pointers suffices. The point-lookup core (DBImpl::LookupKeys)
+/// searches once per group: for the first unresolved key, after which the
+/// sorted keys the file also covers join it without a search.
 const FileMetaPtr* FindFileInRun(const Run& run, const Comparator* ucmp,
                                  const Slice& user_key);
 

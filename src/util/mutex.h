@@ -15,11 +15,23 @@
 #include "util/lock_rank.h"
 #include "util/thread_annotations.h"
 
+// LSMLAB_DEBUG_CHECKS switches on every debug-only member that changes a
+// class layout (the mutex holder and lock-rank bookkeeping here, the live-pin
+// table in util/pin_tracker.h). It is not NDEBUG: the lsmlab CMake target
+// derives it from the library's own build type (1 for Debug, 0 otherwise)
+// and exports it PUBLIC, so a client compiled with a different NDEBUG still
+// agrees with the library on every layout.
+#ifndef LSMLAB_DEBUG_CHECKS
+// Without CMake, pass -DLSMLAB_DEBUG_CHECKS=1 for a Debug library and =0
+// for any other.
+#error "LSMLAB_DEBUG_CHECKS is undefined: link the lsmlab CMake target"
+#endif
+
 namespace lsmlab {
 
 class CondVar;
 
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
 namespace lock_debug {
 
 /// Per-thread stack of ranked mutexes currently held, newest last.
@@ -59,7 +71,7 @@ inline size_t HeldRankedLockCount() { return 0; }
 /// tools/check_lock_io.py proves statically. `what` names the blocking
 /// operation for the abort message.
 inline void AssertBlockingIoAllowed(const char* what) {
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
   if (lock_debug::BlockingIoAllowedDepth() > 0) {
     return;
   }
@@ -84,7 +96,7 @@ inline void AssertBlockingIoAllowed(const char* what) {
 /// one list.
 class ScopedBlockingIoAllowed {
  public:
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
   explicit ScopedBlockingIoAllowed(const char* why) {
     (void)why;  // documentation at the call site
     lock_debug::BlockingIoAllowedDepth()++;
@@ -149,7 +161,7 @@ class CAPABILITY("mutex") Mutex {
   /// REQUIRES contract cannot be expressed to the analysis (e.g. callbacks).
   void AssertHeld() ASSERT_CAPABILITY(this) { assert(HeldByCurrentThread()); }
 
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
   /// Debug builds only; release builds cannot verify and return true.
   bool HeldByCurrentThread() const {
     return holder_.load(std::memory_order_relaxed) ==
@@ -162,7 +174,7 @@ class CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
 
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
   void DebugMarkHeld() {
     holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
     if (rank_ != LockRank::kUnranked) {
@@ -211,7 +223,7 @@ class CAPABILITY("mutex") Mutex {
 
   std::mutex mu_;
   const LockRank rank_ = LockRank::kUnranked;
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
   std::atomic<std::thread::id> holder_{};
 #endif
 };

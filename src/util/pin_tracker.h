@@ -16,11 +16,14 @@
 ///
 /// Release builds compile the tracker down to an empty object and no-op
 /// inline calls; the defaulted source_location argument still exists but
-/// is never materialized into storage.
+/// is never materialized into storage. "Debug" here is LSMLAB_DEBUG_CHECKS
+/// (see util/mutex.h), never the client's NDEBUG.
 
 #include <source_location>
 
-#ifndef NDEBUG
+#include "util/mutex.h"
+
+#if LSMLAB_DEBUG_CHECKS
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -28,13 +31,12 @@
 #include <string>
 #include <unordered_map>
 
-#include "util/mutex.h"
 #include "util/thread_annotations.h"
 #endif
 
 namespace lsmlab {
 
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
 
 class PinTracker {
  public:
@@ -108,7 +110,7 @@ class PinTracker {
   std::unordered_multimap<const void*, std::string> live_ GUARDED_BY(mu_);
 };
 
-#else  // NDEBUG
+#else  // !LSMLAB_DEBUG_CHECKS
 
 class PinTracker {
  public:
@@ -126,7 +128,7 @@ class PinTracker {
   void CheckNoLivePins() {}
 };
 
-#endif  // NDEBUG
+#endif  // LSMLAB_DEBUG_CHECKS
 
 }  // namespace lsmlab
 

@@ -19,6 +19,7 @@
 #include "format/sstable_builder.h"
 #include "format/sstable_reader.h"
 #include "storage/env.h"
+#include "util/hash.h"
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
 
@@ -59,6 +60,26 @@ std::string BuildTableImage(Env* env, const TableOptions& opts, int entries) {
   return image;
 }
 
+/// Looks `keys` up in one SSTable::MultiGet batch (the table's only point
+/// lookup); every key's status must be a clean one.
+void ExpectCleanLookups(const SSTable& table,
+                        const std::vector<std::string>& keys,
+                        const std::string& context) {
+  std::vector<BatchGetContext> ctxs(keys.size());
+  std::vector<BatchGetContext*> batch;
+  for (size_t i = 0; i < keys.size(); i++) {
+    ctxs[i].target = keys[i];
+    ctxs[i].searchable = keys[i];
+    ctxs[i].hash = Hash64(Slice(keys[i]));
+    ctxs[i].handler = [](void*, const Slice&, const Slice&) {};
+    batch.push_back(&ctxs[i]);
+  }
+  table.MultiGet(batch, /*use_filter=*/true);
+  for (size_t i = 0; i < keys.size(); i++) {
+    EXPECT_TRUE(CleanStatus(ctxs[i].status)) << context << ", key " << keys[i];
+  }
+}
+
 /// Opens `image` as a table and exercises open/iterate/seek/get; every
 /// status surfaced must be a clean one.
 void ExerciseTable(Env* env, const TableOptions& opts,
@@ -83,9 +104,13 @@ void ExerciseTable(Env* env, const TableOptions& opts,
   EXPECT_TRUE(CleanStatus(it->status())) << context;
   it->Seek(TestKey(17));
   EXPECT_TRUE(CleanStatus(it->status())) << context;
-  EXPECT_TRUE(CleanStatus(table->InternalGet(
-                  TestKey(17), TestKey(17), [](const Slice&, const Slice&) {})))
-      << context;
+  ExpectCleanLookups(*table, {TestKey(17)}, context);
+  // One sorted batch across several blocks: present keys, a duplicate, an
+  // in-range absent key and a key past the last fence.
+  ExpectCleanLookups(*table,
+                     {TestKey(0), TestKey(17), TestKey(17), TestKey(17) + "x",
+                      TestKey(33), TestKey(59), "zzz"},
+                     context);
 }
 
 TEST(CorruptionTest, SSTableEveryByteFlip) {

@@ -265,6 +265,20 @@ TEST(FormatTest, FooterRejectsBadMagic) {
 
 // -------------------------------------------------------------- SSTable --
 
+/// What a one-key lookup saw: the sought key's value, if the entry the
+/// table handed over is that key.
+struct Probe {
+  std::string key;
+  std::string value;
+};
+
+void SaveExact(void* arg, const Slice& k, const Slice& v) {
+  auto* probe = static_cast<Probe*>(arg);
+  if (k == Slice(probe->key)) {
+    probe->value = v.ToString();
+  }
+}
+
 class SSTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -290,6 +304,28 @@ class SSTableTest : public ::testing::Test {
     ASSERT_TRUE(SSTable::Open(opts_, std::move(file), file_size_, 1, nullptr,
                               &table_)
                     .ok());
+  }
+
+  // `key` through SSTable::MultiGet, the table's only point lookup, as a
+  // batch of one. Keys are plain: the table compares and filters whole
+  // keys. Returns the key's status; *value is its value ("" when absent)
+  // and *pruned whether a filter partition rejected it.
+  Status LookupOne(const std::string& key, std::string* value,
+                   bool use_filter = true, bool* pruned = nullptr) {
+    Probe probe{key, ""};
+    BatchGetContext ctx;
+    ctx.target = probe.key;
+    ctx.searchable = probe.key;
+    ctx.hash = Hash64(Slice(probe.key));
+    ctx.handler = &SaveExact;
+    ctx.arg = &probe;
+    BatchGetContext* const batch[] = {&ctx};
+    table_->MultiGet(batch, use_filter);
+    *value = probe.value;
+    if (pruned != nullptr) {
+      *pruned = ctx.filter_pruned;
+    }
+    return ctx.status;
   }
 
   std::unique_ptr<Env> env_;
@@ -334,7 +370,7 @@ TEST_F(SSTableTest, SeekAcrossBlocks) {
   }
 }
 
-TEST_F(SSTableTest, InternalGetFindsEntries) {
+TEST_F(SSTableTest, PointLookupFindsEntries) {
   std::map<std::string, std::string> kv;
   for (int i = 0; i < 500; i++) {
     kv[Key(i)] = std::to_string(i);
@@ -343,14 +379,7 @@ TEST_F(SSTableTest, InternalGetFindsEntries) {
   OpenTable();
   for (int i = 0; i < 500; i += 17) {
     std::string got;
-    ASSERT_TRUE(table_
-                    ->InternalGet(Key(i), Key(i),
-                                  [&](const Slice& k, const Slice& v) {
-                                    if (k == Slice(Key(i))) {
-                                      got = v.ToString();
-                                    }
-                                  })
-                    .ok());
+    ASSERT_TRUE(LookupOne(Key(i), &got).ok());
     EXPECT_EQ(got, std::to_string(i));
   }
 }
@@ -393,19 +422,12 @@ TEST_F(SSTableTest, PartitionedFilterRoundtrip) {
   // Whole-table probe cannot answer (partitions are per block).
   EXPECT_TRUE(table_->KeyMayMatch(Key(999999), Hash64(Slice(Key(999999)))));
 
-  // No false negatives through InternalGet with partition filtering on.
+  // No false negatives through the point lookup with partition filtering
+  // on.
   for (int i = 0; i < 2000; i += 13) {
     std::string got;
     bool skipped = false;
-    ASSERT_TRUE(table_
-                    ->InternalGet(Key(i), Key(i),
-                                  [&](const Slice& k, const Slice& v) {
-                                    if (k == Slice(Key(i))) {
-                                      got = v.ToString();
-                                    }
-                                  },
-                                  /*use_filter=*/true, &skipped)
-                    .ok());
+    ASSERT_TRUE(LookupOne(Key(i), &got, /*use_filter=*/true, &skipped).ok());
     EXPECT_FALSE(skipped) << Key(i);
     EXPECT_EQ(got, "v" + std::to_string(i));
   }
@@ -415,11 +437,8 @@ TEST_F(SSTableTest, PartitionedFilterRoundtrip) {
   for (int i = 0; i < 500; i++) {
     bool skipped = false;
     std::string absent = Key(i) + "x";
-    ASSERT_TRUE(table_
-                    ->InternalGet(absent, absent,
-                                  [](const Slice&, const Slice&) {},
-                                  /*use_filter=*/true, &skipped)
-                    .ok());
+    std::string got;
+    ASSERT_TRUE(LookupOne(absent, &got, /*use_filter=*/true, &skipped).ok());
     if (skipped) {
       rejected++;
     }
@@ -440,11 +459,8 @@ TEST_F(SSTableTest, PartitionedFilterDisabledProbeStillWorks) {
   // use_filter=false must bypass the partitions entirely.
   bool skipped = true;
   std::string absent = Key(3) + "x";
-  ASSERT_TRUE(table_
-                  ->InternalGet(absent, absent,
-                                [](const Slice&, const Slice&) {},
-                                /*use_filter=*/false, &skipped)
-                  .ok());
+  std::string got;
+  ASSERT_TRUE(LookupOne(absent, &got, /*use_filter=*/false, &skipped).ok());
   EXPECT_FALSE(skipped);
 }
 
@@ -508,15 +524,41 @@ TEST_F(SSTableTest, LearnedPlrIndexGet) {
   const PerfContext before = *GetPerfContext();
   for (int i = 0; i < 2000; i += 13) {
     std::string got;
-    ASSERT_TRUE(table_
-                    ->InternalGet(Key(i), Key(i),
-                                  [&](const Slice& k, const Slice& v) {
-                                    if (k == Slice(Key(i))) {
-                                      got = v.ToString();
-                                    }
-                                  })
-                    .ok());
+    ASSERT_TRUE(LookupOne(Key(i), &got).ok());
     EXPECT_EQ(got, std::to_string(i)) << Key(i);
+  }
+  EXPECT_GT(GetPerfContext()->Delta(before).learned_index_seek_count, 0u);
+}
+
+// The learned index sees only a key's first 8 bytes, so a key that shares
+// them with a block's fence can land one block early; that block's filter
+// partition never saw the key. Keys here are 8-byte group prefixes plus a
+// 2-byte suffix, 8 per group, so block boundaries fall inside groups while
+// each fence still has its own prefix (the model trains). Every key must
+// still be found: a partition that rejects the key in the learned block
+// is not the last word.
+TEST_F(SSTableTest, LearnedIndexWithPartitionedFilterFindsEveryKey) {
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  opts_.filter_policy = policy.get();
+  opts_.partition_filters = true;
+  opts_.index_type = TableOptions::IndexType::kLearnedPlr;
+  std::map<std::string, std::string> kv;
+  for (int group = 0; group < 300; group++) {
+    char prefix[16];
+    std::snprintf(prefix, sizeof(prefix), "p%07d", group);
+    for (int j = 0; j < 8; j++) {
+      char suffix[8];
+      std::snprintf(suffix, sizeof(suffix), "%02d", j);
+      kv[std::string(prefix) + suffix] = std::string(40, 'v');
+    }
+  }
+  BuildTable(kv);
+  OpenTable();
+  const PerfContext before = *GetPerfContext();
+  for (const auto& [key, value] : kv) {
+    std::string got;
+    ASSERT_TRUE(LookupOne(key, &got).ok()) << key;
+    EXPECT_EQ(got, value) << key;
   }
   EXPECT_GT(GetPerfContext()->Delta(before).learned_index_seek_count, 0u);
 }
@@ -531,14 +573,7 @@ TEST_F(SSTableTest, RadixSplineIndexGet) {
   OpenTable();
   for (int i = 0; i < 2000; i += 29) {
     std::string got;
-    ASSERT_TRUE(table_
-                    ->InternalGet(Key(i), Key(i),
-                                  [&](const Slice& k, const Slice& v) {
-                                    if (k == Slice(Key(i))) {
-                                      got = v.ToString();
-                                    }
-                                  })
-                    .ok());
+    ASSERT_TRUE(LookupOne(Key(i), &got).ok());
     EXPECT_EQ(got, std::to_string(i));
   }
 }

@@ -17,6 +17,7 @@
 #include "rangefilter/range_filter.h"
 #include "storage/env.h"
 #include "tests/fuzz_inputs.h"
+#include "util/hash.h"
 #include "util/random.h"
 #include "wal/log_reader.h"
 #include "workload/keygen.h"
@@ -182,9 +183,23 @@ TEST(FuzzTest, TableWithCorruptedTailFailsCleanly) {
     for (it->SeekToFirst(); it->Valid() && steps < 2000; it->Next()) {
       steps++;
     }
-    std::string value;
-    table->InternalGet("k000123", "k000123",
-                       [](const Slice&, const Slice&) {}).IgnoreError();
+    // Point lookups: a batch of one, then one sorted multi-key batch.
+    // Errors land in each key's status; none may crash.
+    for (const std::vector<std::string>& keys :
+         {std::vector<std::string>{"k000123"},
+          std::vector<std::string>{"k000000", "k000123", "k000123",
+                                   "k000123x", "k000499", "zzz"}}) {
+      std::vector<BatchGetContext> ctxs(keys.size());
+      std::vector<BatchGetContext*> batch;
+      for (size_t i = 0; i < keys.size(); i++) {
+        ctxs[i].target = keys[i];
+        ctxs[i].searchable = keys[i];
+        ctxs[i].hash = Hash64(Slice(keys[i]));
+        ctxs[i].handler = [](void*, const Slice&, const Slice&) {};
+        batch.push_back(&ctxs[i]);
+      }
+      table->MultiGet(batch, /*use_filter=*/true);
+    }
   }
 }
 

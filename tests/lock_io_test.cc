@@ -26,7 +26,7 @@ class LockIoTest : public ::testing::Test {
   std::unique_ptr<WritableFile> file_;
 };
 
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
 
 TEST_F(LockIoTest, GuardFiresOnAppendUnderEngineMutex) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -89,7 +89,7 @@ TEST_F(LockIoTest, AllowanceEndsWithTheScope) {
       "blocking I/O \\(append\\) while holding engine mutex DBImpl::mu_");
 }
 
-#endif  // !NDEBUG
+#endif  // LSMLAB_DEBUG_CHECKS
 
 TEST_F(LockIoTest, IoOkLocksMaySerializeIo) {
   // The value-log writer lock intentionally serializes log appends; the

@@ -571,5 +571,105 @@ TEST_F(MultiGetTest, FilterFirstPruning) {
   EXPECT_LE(d.block_read_count, d.filter_probe_count - d.filter_negative_count);
 }
 
+// Get and MultiGet share one lookup path, so a batch takes the same
+// in-block hash index a single Get does.
+TEST_F(MultiGetTest, BatchUsesBlockHashIndex) {
+  options_.block_hash_index = true;
+  Open();
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db_->Put({}, TestKey(i), std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 2000; i += 13) {
+    keys.push_back(TestKey(i));
+  }
+  const PerfContext before = *GetPerfContext();
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  db_->MultiGet({}, MakeSlices(keys), &values, &statuses);
+  const PerfContext d = GetPerfContext()->Delta(before);
+
+  for (size_t i = 0; i < keys.size(); i++) {
+    ASSERT_TRUE(statuses[i].ok()) << keys[i];
+    EXPECT_EQ(values[i], std::to_string(i * 13));
+  }
+  EXPECT_GT(d.hash_index_hit_count, 0u);
+}
+
+// ... and the same learned fence index.
+TEST_F(MultiGetTest, BatchUsesLearnedIndex) {
+  options_.index_type = TableOptions::IndexType::kLearnedPlr;
+  Open();
+  for (int i = 0; i < 3000; i++) {
+    ASSERT_TRUE(db_->Put({}, TestKey(i), std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3000; i += 7) {
+    keys.push_back(TestKey(i));
+  }
+  keys.push_back(TestKey(5) + "!");  // in range, absent
+  const PerfContext before = *GetPerfContext();
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  db_->MultiGet({}, MakeSlices(keys), &values, &statuses);
+  const PerfContext d = GetPerfContext()->Delta(before);
+
+  for (size_t i = 0; i + 1 < keys.size(); i++) {
+    ASSERT_TRUE(statuses[i].ok()) << keys[i];
+    EXPECT_EQ(values[i], std::to_string(i * 7));
+  }
+  EXPECT_TRUE(statuses.back().IsNotFound());
+  EXPECT_GT(d.learned_index_seek_count, 0u);
+}
+
+// A Get is a lookup of one key on the batch path, but it is not a
+// MultiGet: a Get-only run leaves every multiget counter at zero, even
+// when filters prune runs and blocks are shared.
+TEST_F(MultiGetTest, GetOnlyRunLeavesMultiGetCountersAtZero) {
+  options_.filter_allocation = FilterAllocation::kUniform;
+  options_.filter_bits_per_key = 10.0;
+  Open();
+  for (int round = 0; round < 3; round++) {
+    for (int i = round; i < 300; i += 3) {
+      ASSERT_TRUE(db_->Put({}, TestKey(i), std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  ASSERT_TRUE(db_->Put({}, "mem_key", "mv").ok());
+
+  const PerfContext before = *GetPerfContext();
+  std::string value;
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(db_->Get({}, TestKey(i), &value).ok()) << TestKey(i);
+    EXPECT_EQ(value, std::to_string(i));
+    EXPECT_TRUE(db_->Get({}, TestKey(i) + "!", &value).IsNotFound());
+  }
+  ASSERT_TRUE(db_->Get({}, "mem_key", &value).ok());
+  const PerfContext d = GetPerfContext()->Delta(before);
+
+  const DBStats stats = db_->GetStats();
+  EXPECT_GT(stats.filter_skips, 0u);  // the filters did prune runs
+  EXPECT_EQ(stats.multigets, 0u);
+  EXPECT_EQ(stats.multiget_keys, 0u);
+  EXPECT_EQ(stats.multiget_filter_pruned, 0u);
+  EXPECT_EQ(stats.multiget_coalesced_block_hits, 0u);
+  EXPECT_EQ(d.multiget_keys, 0u);
+  EXPECT_EQ(d.multiget_filter_pruned, 0u);
+  EXPECT_EQ(d.multiget_coalesced_block_hits, 0u);
+  EXPECT_EQ(d.multiget_micros, 0u);
+  std::string dump;
+  ASSERT_TRUE(db_->GetProperty("lsmlab.stats", &dump));
+  for (const char* name :
+       {"ticker.multiget.batches=0", "ticker.multiget.keys=0",
+        "ticker.multiget.filter_pruned=0",
+        "ticker.multiget.coalesced_block_hits=0"}) {
+    EXPECT_NE(dump.find(name), std::string::npos) << name << "\n" << dump;
+  }
+}
+
 }  // namespace
 }  // namespace lsmlab

@@ -39,7 +39,7 @@ TEST(MutexTest, TryLockFailsWhenContended) {
   mu.Unlock();
 }
 
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
 TEST(MutexTest, HeldByCurrentThreadTracksHolder) {
   Mutex mu;
   EXPECT_FALSE(mu.HeldByCurrentThread());

@@ -44,7 +44,7 @@ std::unique_ptr<const Block> OneEntryBlock() {
   return std::make_unique<const Block>(std::move(contents));
 }
 
-#ifndef NDEBUG
+#if LSMLAB_DEBUG_CHECKS
 
 TEST(ResourceFlowTest, LeakedHandleAbortsNamingTheAcquisitionSite) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -123,7 +123,7 @@ TEST(ResourceFlowTest, LeakedTableCachePinAbortsNamingTheSite) {
       "TableCache reader pin: 1 pin\\(s\\) still live");
 }
 
-#endif  // !NDEBUG
+#endif  // LSMLAB_DEBUG_CHECKS
 
 TEST(ResourceFlowTest, CleanShutdownAfterBalancedAcquireRelease) {
   LruCache cache(1024, /*num_shards=*/1);

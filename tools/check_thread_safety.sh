@@ -22,7 +22,10 @@ if ! command -v "$CLANGXX" >/dev/null 2>&1; then
   exit 0
 fi
 
-FLAGS=(-std=c++20 -Isrc -Wthread-safety -Werror=thread-safety -fsyntax-only)
+# LSMLAB_DEBUG_CHECKS=1 (what a Debug lsmlab target exports) keeps the
+# debug-only lock bookkeeping in the analyzed code.
+FLAGS=(-std=c++20 -Isrc -DLSMLAB_DEBUG_CHECKS=1 -Wthread-safety
+       -Werror=thread-safety -fsyntax-only)
 
 echo "== positive: src/ must pass -Wthread-safety =="
 fail=0

@@ -24,10 +24,12 @@
 #      tools/parser_audit.list: asserts compile out of release builds, so
 #      corruption must surface as Status, never as an invariant check.
 #      (tools/check_parsers.sh enforces the rest of the parser contract.)
-#   7. No per-key I/O calls in the batch read path. The whole point of
-#      MultiGet is one open per table and one fetch per distinct block;
-#      a stray Read/open in those files silently reverts it to a looped
-#      Get. Deliberate, amortized calls carry a `batch-io-ok:` comment.
+#   7. No per-key I/O calls in the point-lookup path (the one core that
+#      Get and MultiGet share, in src/core/db_multiget.cc, and the table
+#      cache under it). The point of batching is one open per table and
+#      one fetch per distinct block; a stray Read/open in those files
+#      silently reverts MultiGet to a looped Get. Deliberate, amortized
+#      calls carry a `batch-io-ok:` comment.
 #   8. No WAL appends or WAL-file syncs outside the group-commit module
 #      (src/core/db_write.cc). The writer-queue protocol is what makes
 #      unlocked WAL I/O safe (one leader at a time, log_busy_ excludes
@@ -209,8 +211,10 @@ grep -v -e '^#' -e '^$' tools/parser_audit.list \
   | grep -v 'builder-ok:' \
   | report "assert() in an audited parser (corrupt bytes must return Status::Corruption; see tools/check_parsers.sh)"
 
-# 7. Per-key I/O in the batch read path. Any block read, file read, or
-#    file open in these files must be the amortized one (annotated
+# 7. Per-key I/O in the point-lookup path: db_multiget.cc holds the core
+#    (DBImpl::LookupKeys) that Get and MultiGet share, table_cache.cc the
+#    per-table batch probe under it. Any block read, file read, or file
+#    open in these files must be the amortized one (annotated
 #    `batch-io-ok:` on the call line or the line above); anything else is
 #    a looped-Get regression hiding inside MultiGet.
 BATCH_PATH_FILES="src/core/db_multiget.cc src/core/table_cache.cc"
