@@ -16,7 +16,8 @@ namespace {
 void Run() {
   PrintHeader("E16 monolithic vs partitioned filters",
               "filters,resident_filter_index_bytes,zero_get_ios_cold,"
-              "zero_get_ios_warm,filter_skips_per_get");
+              "zero_get_ios_warm,filter_skips_per_get,zero_get_ns_warm,"
+              "existing_get_ns");
   const size_t kN = 80000;
   for (bool partitioned : {false, true}) {
     BlockCache cache(2 << 20);
@@ -41,15 +42,16 @@ void Run() {
     DBStats s2 = db.db->GetStats();
 
     // Touch every table so IndexMemoryUsage reflects all of them.
-    MeasureGets(&db, kN, 2000, /*existing=*/true, 11);
+    const GetCost existing = MeasureGets(&db, kN, 2000, /*existing=*/true, 11);
     DBStats resident = db.db->GetStats();
 
-    std::printf("%s,%zu,%.3f,%.3f,%.2f\n",
+    std::printf("%s,%zu,%.3f,%.3f,%.2f,%.0f,%.0f\n",
                 partitioned ? "partitioned" : "monolithic",
                 resident.index_filter_memory, cold.ios_per_op,
                 warm.ios_per_op,
                 static_cast<double>(s2.filter_skips - s1.filter_skips) /
-                    10000);
+                    10000,
+                warm.ns_per_op, existing.ns_per_op);
     (void)s0;
   }
   std::printf(
