@@ -26,8 +26,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   TableOptions opts;
   std::unique_ptr<SSTable> table;
-  Status s = SSTable::Open(opts, std::move(file), input.size(), 0, nullptr,
-                           &table);
+  Status s =
+      SSTable::Open(opts, std::move(file), input.size(), nullptr, &table);
   if (!s.ok()) return 0;
 
   std::unique_ptr<Iterator> it(table->NewIterator());

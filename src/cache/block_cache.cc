@@ -5,18 +5,17 @@
 
 namespace lsmlab {
 
-std::string BlockCache::MakeKey(uint64_t file_number, uint64_t offset) {
+std::string BlockCache::MakeKey(uint64_t cache_id, uint64_t offset) {
   std::string key;
   key.reserve(16);
-  PutFixed64(&key, file_number);
+  PutFixed64(&key, cache_id);
   PutFixed64(&key, offset);
   return key;
 }
 
-BlockCache::Ref BlockCache::Lookup(uint64_t file_number, uint64_t offset,
-                                   uint64_t access_weight,
+BlockCache::Ref BlockCache::Lookup(uint64_t cache_id, uint64_t offset,
                                    std::source_location loc) {
-  const std::string key = MakeKey(file_number, offset);
+  const std::string key = MakeKey(cache_id, offset);
   // Forward the caller's site so debug pin-leak reports name the reader
   // that took the ref, not this wrapper.
   LruCache::Handle* handle = cache_.Lookup(key, loc);
@@ -25,18 +24,14 @@ BlockCache::Ref BlockCache::Lookup(uint64_t file_number, uint64_t offset,
     return Ref();
   }
   GetPerfContext()->block_cache_hit_count++;
-  {
-    MutexLock lock(&access_mu_);
-    file_accesses_[file_number] += access_weight;
-  }
   return Ref(&cache_, handle,
              static_cast<const Block*>(cache_.Value(handle)));
 }
 
-BlockCache::Ref BlockCache::Insert(uint64_t file_number, uint64_t offset,
+BlockCache::Ref BlockCache::Insert(uint64_t cache_id, uint64_t offset,
                                    std::unique_ptr<const Block> block,
                                    std::source_location loc) {
-  const std::string key = MakeKey(file_number, offset);
+  const std::string key = MakeKey(cache_id, offset);
   const Block* raw = block.release();
   LruCache::Handle* handle = cache_.Insert(
       key, const_cast<Block*>(raw), raw->size(),
@@ -45,18 +40,6 @@ BlockCache::Ref BlockCache::Insert(uint64_t file_number, uint64_t offset,
       },
       loc);
   return Ref(&cache_, handle, raw);
-}
-
-void BlockCache::ResetStats() {
-  cache_.ResetStats();
-  MutexLock lock(&access_mu_);
-  file_accesses_.clear();
-}
-
-uint64_t BlockCache::FileAccesses(uint64_t file_number) const {
-  MutexLock lock(&access_mu_);
-  auto it = file_accesses_.find(file_number);
-  return it == file_accesses_.end() ? 0 : it->second;
 }
 
 }  // namespace lsmlab

@@ -1,22 +1,22 @@
 #ifndef LSMLAB_CACHE_BLOCK_CACHE_H_
 #define LSMLAB_CACHE_BLOCK_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <source_location>
-#include <unordered_map>
 
 #include "cache/lru_cache.h"
 #include "format/block.h"
-#include "util/mutex.h"
 
 namespace lsmlab {
 
-/// Typed block cache: maps (file_number, block_offset) -> parsed Block.
+/// Typed block cache: maps (cache_id, block_offset) -> parsed Block.
 ///
-/// Also keeps per-file access counters so the compaction-aware prefetcher
-/// (Leaper-style, tutorial §II-1) can decide whether a compaction destroyed
-/// hot blocks and should re-warm the cache with the output file's blocks.
+/// Every reader draws its own cache_id from NewId() (LevelDB's cache_id_),
+/// so readers of different databases sharing one cache — the shards of a
+/// ShardedDB, which number their files independently — never alias each
+/// other's blocks.
 class BlockCache {
  public:
   explicit BlockCache(size_t capacity_bytes)
@@ -65,37 +65,29 @@ class BlockCache {
     const Block* block_;
   };
 
-  /// Returns a pinned ref, or an empty Ref on miss. `access_weight` is the
-  /// number of logical accesses this lookup stands for — a coalesced
-  /// MultiGet probe serving N keys from one block credits the file's
-  /// hotness counter with N, keeping the prefetcher's signal comparable to
-  /// N looped Gets.
-  Ref Lookup(uint64_t file_number, uint64_t offset,
-             uint64_t access_weight = 1,
+  /// A key space no other caller of this cache has: one per reader.
+  uint64_t NewId() { return next_id_.fetch_add(1, std::memory_order_relaxed); }
+
+  /// Returns a pinned ref, or an empty Ref on miss.
+  Ref Lookup(uint64_t cache_id, uint64_t offset,
              std::source_location loc = std::source_location::current());
 
   /// Inserts `block` (ownership transferred) and returns a pinned ref.
-  Ref Insert(uint64_t file_number, uint64_t offset,
+  Ref Insert(uint64_t cache_id, uint64_t offset,
              std::unique_ptr<const Block> block,
              std::source_location loc = std::source_location::current());
 
   LruCache::Stats GetStats() const { return cache_.GetStats(); }
-  /// Resets hit/miss counters and the per-file hotness counters.
-  void ResetStats();
+  /// Resets the hit/miss counters.
+  void ResetStats() { cache_.ResetStats(); }
   size_t TotalCharge() const { return cache_.TotalCharge(); }
   size_t capacity() const { return cache_.capacity(); }
 
-  /// Cache accesses (hits) attributed to `file_number` since the last
-  /// ResetStats — the prefetcher's hotness signal.
-  uint64_t FileAccesses(uint64_t file_number) const;
-
  private:
-  static std::string MakeKey(uint64_t file_number, uint64_t offset);
+  static std::string MakeKey(uint64_t cache_id, uint64_t offset);
 
   LruCache cache_;
-  mutable Mutex access_mu_{LockRank::kBlockCacheAccessMu};
-  std::unordered_map<uint64_t, uint64_t> file_accesses_
-      GUARDED_BY(access_mu_);
+  std::atomic<uint64_t> next_id_{1};
 };
 
 }  // namespace lsmlab

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "cache/block_cache.h"
-
 namespace lsmlab {
 
 namespace {
@@ -14,9 +12,8 @@ namespace {
 /// Shared helpers for capacity math and overlap computation.
 class PolicyBase : public CompactionPolicy {
  public:
-  PolicyBase(const Options& options, const InternalKeyComparator* icmp,
-             BlockCache* block_cache)
-      : options_(options), icmp_(icmp), block_cache_(block_cache) {}
+  PolicyBase(const Options& options, const InternalKeyComparator* icmp)
+      : options_(options), icmp_(icmp) {}
 
   uint64_t LevelCapacity(int level) const override {
     // Level 0 holds flushed buffers; deeper levels grow by T.
@@ -92,7 +89,6 @@ class PolicyBase : public CompactionPolicy {
 
   const Options options_;
   const InternalKeyComparator* const icmp_;
-  BlockCache* const block_cache_;
 };
 
 // ---------------------------------------------------------------- Leveled --
@@ -256,8 +252,7 @@ class LeveledPolicy : public PolicyBase {
     FileMetaPtr best;
     uint64_t best_heat = std::numeric_limits<uint64_t>::max();
     for (const FileMetaPtr& f : files) {
-      const uint64_t heat =
-          block_cache_ != nullptr ? block_cache_->FileAccesses(f->number) : 0;
+      const uint64_t heat = f->CacheHits();
       if (heat < best_heat) {
         best_heat = heat;
         best = f;
@@ -401,19 +396,18 @@ class FifoPolicy : public PolicyBase {
 }  // namespace
 
 std::unique_ptr<CompactionPolicy> CreateCompactionPolicy(
-    const Options& options, const InternalKeyComparator* icmp,
-    BlockCache* block_cache) {
+    const Options& options, const InternalKeyComparator* icmp) {
   switch (options.merge_policy) {
     case MergePolicy::kLeveling:
-      return std::make_unique<LeveledPolicy>(options, icmp, block_cache);
+      return std::make_unique<LeveledPolicy>(options, icmp);
     case MergePolicy::kTiering:
-      return std::make_unique<TieredPolicy>(options, icmp, block_cache);
+      return std::make_unique<TieredPolicy>(options, icmp);
     case MergePolicy::kLazyLeveling:
-      return std::make_unique<LazyLevelingPolicy>(options, icmp, block_cache);
+      return std::make_unique<LazyLevelingPolicy>(options, icmp);
     case MergePolicy::kFifo:
-      return std::make_unique<FifoPolicy>(options, icmp, block_cache);
+      return std::make_unique<FifoPolicy>(options, icmp);
   }
-  return std::make_unique<LeveledPolicy>(options, icmp, block_cache);
+  return std::make_unique<LeveledPolicy>(options, icmp);
 }
 
 }  // namespace lsmlab

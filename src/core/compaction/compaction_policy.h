@@ -10,8 +10,6 @@
 
 namespace lsmlab {
 
-class BlockCache;
-
 /// One unit of compaction work chosen by a policy (tutorial I-2 / [76]:
 /// trigger, granularity, and data-movement policy are the compaction
 /// primitives; the data-layout primitive is the policy subclass itself).
@@ -48,11 +46,9 @@ class CompactionPolicy {
   virtual uint64_t LevelCapacity(int level) const = 0;
 };
 
-/// Builds the policy selected by options.merge_policy. `block_cache` (may
-/// be null) supplies hotness data for the kCold file picker.
+/// Builds the policy selected by options.merge_policy.
 std::unique_ptr<CompactionPolicy> CreateCompactionPolicy(
-    const Options& options, const InternalKeyComparator* icmp,
-    BlockCache* block_cache);
+    const Options& options, const InternalKeyComparator* icmp);
 
 }  // namespace lsmlab
 

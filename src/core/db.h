@@ -36,8 +36,11 @@ struct DBStats {
   std::vector<uint64_t> bytes_per_level;
 
   // Gauges.
-  size_t index_filter_memory = 0;  ///< bytes of in-memory metadata
-  uint64_t value_log_bytes = 0;    ///< key-value separation
+  /// In-memory index, filter and learned-model bytes, summed over the
+  /// readers of the current version's files. A reader opens on its file's
+  /// first use, so a file no read or compaction has touched counts 0.
+  size_t index_filter_memory = 0;
+  uint64_t value_log_bytes = 0;  ///< key-value separation
   uint64_t value_log_files = 0;
 
   // One field per ticker, named by the third column of LSMLAB_TICKERS

@@ -20,20 +20,53 @@
 
 namespace lsmlab {
 
+namespace {
+
+/// Iterator over one table that pins its file, and so its reader.
+class TableIterator : public Iterator {
+ public:
+  TableIterator(Iterator* iter, FileMetaPtr file)
+      : iter_(iter), file_(std::move(file)) {}
+
+  bool Valid() const override { return iter_->Valid(); }
+  void SeekToFirst() override { iter_->SeekToFirst(); }
+  void SeekToLast() override { iter_->SeekToLast(); }
+  void Seek(const Slice& target) override { iter_->Seek(target); }
+  void Next() override { iter_->Next(); }
+  void Prev() override { iter_->Prev(); }
+  Slice key() const override { return iter_->key(); }
+  Slice value() const override { return iter_->value(); }
+  Status status() const override { return iter_->status(); }
+
+ private:
+  std::unique_ptr<Iterator> iter_;
+  FileMetaPtr file_;
+};
+
+/// Opens `file`'s reader on first use, and iterates the whole table.
+Iterator* NewTableIterator(const FileMetaPtr& file) {
+  const SSTable* table = nullptr;
+  Status s = file->Table(&table);
+  if (!s.ok()) {
+    return NewEmptyIterator(s);
+  }
+  return new TableIterator(table->NewIterator(), file);
+}
+
+}  // namespace
+
 DBImpl::DBImpl(const Options& options, std::string dbname,
                ThreadPool* shared_bg_pool)
     : options_(options),
       dbname_(std::move(dbname)),
       icmp_(options.comparator) {
-  table_cache_ = std::make_unique<TableCache>(dbname_, &options_, &icmp_);
+  versions_ = std::make_unique<VersionSet>(dbname_, &options_, &icmp_);
   if (options_.filter_allocation == FilterAllocation::kMonkey) {
-    table_cache_->ConfigureFilterBits(MonkeyBitsPerLevel(
+    versions_->ConfigureFilterBits(MonkeyBitsPerLevel(
         options_.filter_bits_per_key, options_.max_levels,
         options_.size_ratio));
   }
-  versions_ = std::make_unique<VersionSet>(dbname_, &options_,
-                                           table_cache_.get(), &icmp_);
-  policy_ = CreateCompactionPolicy(options_, &icmp_, options_.block_cache);
+  policy_ = CreateCompactionPolicy(options_, &icmp_);
   mem_ = new MemTable(icmp_, options_.memtable_rep);
   mem_->Ref();
   if (options_.value_separation_threshold > 0) {
@@ -914,7 +947,7 @@ void DBImpl::ReconfigureMonkeyLocked(int output_level) {
       std::min(options_.max_levels,
                std::max({versions_->current()->MaxPopulatedLevel() + 1,
                          output_level + 1, 1}));
-  table_cache_->ConfigureFilterBits(MonkeyBitsPerLevel(
+  versions_->ConfigureFilterBits(MonkeyBitsPerLevel(
       options_.filter_bits_per_key, depth, options_.size_ratio));
 }
 
@@ -925,7 +958,11 @@ Status DBImpl::BuildTables(Iterator* iter, int output_level,
                            uint64_t* bytes_written) {
   outputs->clear();
   *bytes_written = 0;
-  const TableOptions& topts = table_cache_->TableOptionsForLevel(output_level);
+  // Held for the whole build: the job slot keeps ConfigureFilterBits from
+  // running meanwhile, and the pointer keeps the filter policy alive.
+  const std::shared_ptr<const TableOptions> options_for_level =
+      versions_->TableOptionsForLevel(output_level);
+  const TableOptions& topts = *options_for_level;
 
   std::unique_ptr<WritableFile> file;
   std::unique_ptr<SSTableBuilder> builder;
@@ -1126,10 +1163,8 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
   uint64_t input_accesses = 0;
   auto add_children = [&](const std::vector<FileMetaPtr>& files) {
     for (const FileMetaPtr& f : files) {
-      children.push_back(table_cache_->NewIterator(f));
-      if (options_.block_cache != nullptr) {
-        input_accesses += options_.block_cache->FileAccesses(f->number);
-      }
+      children.push_back(NewTableIterator(f));
+      input_accesses += f->CacheHits();
     }
   };
   add_children(pick.inputs);
@@ -1222,24 +1257,38 @@ Status DBImpl::DoCompaction(const CompactionPick& pick,
   return Status::OK();
 }
 
-void DBImpl::PrefetchOutputsLocked(const CompactionPick& /*pick*/,
+void DBImpl::PrefetchOutputsLocked(const CompactionPick& pick,
                                    const std::vector<FileMetaData>& outputs) {
   // Bounded by prefetch_budget_bytes and deliberately under mu_: the
   // re-warm must complete before readers see the new version's files cold.
   ScopedBlockingIoAllowed allow_io("post-compaction cache re-warm");
-  size_t budget = options_.prefetch_budget_bytes;
+  // Re-warm through the installed files, not the `outputs` copies: the
+  // reader opened here is the one every later lookup of the file shares.
+  // The outputs form one run sorted by key, so they come in build order.
+  std::set<uint64_t> numbers;
   for (const FileMetaData& meta : outputs) {
-    if (budget == 0) {
-      break;
+    numbers.insert(meta.number);
+  }
+  const VersionPtr v = versions_->current();
+  size_t budget = options_.prefetch_budget_bytes;
+  for (const Run& run : v->levels()[pick.output_level].runs) {
+    for (const FileMetaPtr& f : run.files) {
+      if (budget == 0) {
+        return;
+      }
+      if (numbers.count(f->number) == 0) {
+        continue;
+      }
+      const FileMetaData& file = *f;
+      const SSTable* table = nullptr;
+      // io-under-lock-ok: budget-bounded output open for the re-warm.
+      if (!file.Table(&table).ok()) {
+        continue;
+      }
+      // io-under-lock-ok: budget-bounded block reads re-warm the cache.
+      const size_t loaded = table->PrefetchBlocks(budget);
+      budget = loaded >= budget ? 0 : budget - loaded;
     }
-    std::shared_ptr<SSTable> table;
-    // io-under-lock-ok: budget-bounded output open for the re-warm.
-    if (!table_cache_->FindTable(meta, &table).ok()) {
-      continue;
-    }
-    // io-under-lock-ok: budget-bounded block reads re-warm the cache.
-    const size_t loaded = table->PrefetchBlocks(budget);
-    budget = loaded >= budget ? 0 : budget - loaded;
   }
 }
 
@@ -1262,7 +1311,7 @@ DBImpl::ReadView DBImpl::PinReadView(const ReadOptions& options) {
 
 Iterator* DBImpl::NewRunIterator(const Run& run) {
   if (run.files.size() == 1) {
-    return table_cache_->NewIterator(run.files[0]);
+    return NewTableIterator(run.files[0]);
   }
   // Index iterator over the run's files: key = largest internal key of the
   // file, value = index into a pinned copy of the file list.
@@ -1311,12 +1360,11 @@ Iterator* DBImpl::NewRunIterator(const Run& run) {
     mutable std::string buf_;
   };
 
-  TableCache* cache = table_cache_.get();
   return NewTwoLevelIterator(
       new RunFileIndexIterator(files, &icmp_),
-      [files, cache](const Slice& index_value) -> Iterator* {
+      [files](const Slice& index_value) -> Iterator* {
         const uint64_t pos = DecodeFixed64(index_value.data());
-        return cache->NewIterator((*files)[pos]);
+        return NewTableIterator((*files)[pos]);
       });
 }
 
@@ -1343,7 +1391,10 @@ void DBImpl::CollectIterators(const ReadView& view, const Slice* lo,
               ucmp->Compare(*lo, ExtractUserKey(Slice(f->largest))) > 0) {
             continue;  // outside the range entirely
           }
-          if (!table_cache_->RangeMayMatch(*f, *lo, *hi)) {
+          const SSTable* table = nullptr;
+          // A file that cannot be opened cannot prove emptiness: keep it,
+          // and its iterator reports the error.
+          if (f->Table(&table).ok() && !table->RangeMayMatch(*lo, *hi)) {
             stats_.Add(Ticker::kRangeFilterSkips);
             continue;
           }
@@ -1508,7 +1559,15 @@ DBStats DBImpl::GetStats() {
   for (size_t i = 0; i < kNumTickers; i++) {
     stats.*kDBStatsTickerFields[i] = tickers[i];
   }
-  stats.index_filter_memory = table_cache_->IndexMemoryUsage();
+  for (const LevelState& level : v->levels()) {
+    for (const Run& run : level.runs) {
+      for (const FileMetaPtr& f : run.files) {
+        if (const SSTable* table = f->opened_table(); table != nullptr) {
+          stats.index_filter_memory += table->IndexMemoryUsage();
+        }
+      }
+    }
+  }
   if (vlog_ != nullptr) {
     stats.value_log_bytes = vlog_->TotalBytes();
     stats.value_log_files = vlog_->NumFiles();

@@ -13,8 +13,8 @@
 
 #include "core/compaction/compaction_policy.h"
 #include "core/db.h"
-#include "core/table_cache.h"
 #include "core/version.h"
+#include "format/sstable_reader.h"
 #include "core/write_batch.h"
 #include "memtable/memtable.h"
 #include "obs/event_listener.h"
@@ -234,6 +234,8 @@ class DBImpl : public DB {
                      std::vector<FileMetaData>* outputs,
                      uint64_t* bytes_written);
   SequenceNumber SmallestSnapshotLocked() const REQUIRES(mu_);
+  /// Leaper-style re-warm of a compaction's installed outputs: opens each
+  /// output's reader and loads its blocks, up to prefetch_budget_bytes.
   void PrefetchOutputsLocked(const CompactionPick& pick,
                              const std::vector<FileMetaData>& outputs)
       REQUIRES(mu_);
@@ -287,8 +289,6 @@ class DBImpl : public DB {
   const Options options_;
   const std::string dbname_;
   InternalKeyComparator icmp_;
-  /// Internally synchronized (own mutex + sharded LruCache locks).
-  std::unique_ptr<TableCache> table_cache_;
   /// All VersionSet state is guarded by mu_ except the atomic file-number
   /// counter, which background table builds bump with mu_ released (and
   /// Versions themselves, immutable once installed and pinned via

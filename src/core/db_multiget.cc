@@ -5,10 +5,10 @@
 /// sequence) with the keys sorted by user key. The core probes the
 /// memtables for every key, then walks the runs newest-first. Because the
 /// keys are sorted, the unresolved keys one file covers are adjacent, so
-/// each file is probed once per run with a subspan of the batch
-/// (TableCache::GetBatch -> SSTable::MultiGet): the file's filter is
-/// consulted per key before any data-block I/O, and every distinct data
-/// block is fetched at most once no matter how many keys land in it.
+/// each file is probed once per run with a subspan of the batch: the
+/// file's monolithic filter is consulted per key before any data-block
+/// I/O, then SSTable::MultiGet fetches every distinct data block at most
+/// once no matter how many keys land in it.
 /// Separated values resolve through one ValueLog::GetBatch sorted by
 /// (file, offset).
 ///
@@ -195,10 +195,22 @@ size_t DBImpl::LookupKeys(const ReadOptions& options, const ReadView& view,
         }
         const std::span<BatchGetContext* const> group =
             pending.subspan(i, end - i);
-        // status-ok: a table-level failure is already mirrored into every
-        // member's ctx->status, which the loop below consumes per key.
-        table_cache_->GetBatch(**file, group, options.use_filter)
-            .IgnoreError();
+        // A file whose reader cannot be opened fails every key of the
+        // group: they all needed it. Otherwise each key first probes the
+        // monolithic filter, before any index seek or data-block I/O.
+        const SSTable* table = nullptr;
+        const Status opened = (*file)->Table(&table);
+        bool any_survivor = false;
+        for (BatchGetContext* ctx : group) {
+          ctx->status = opened;
+          ctx->filter_pruned =
+              opened.ok() && options.use_filter &&
+              !table->KeyMayMatch(ctx->searchable, ctx->hash);
+          any_survivor |= opened.ok() && !ctx->filter_pruned;
+        }
+        if (any_survivor) {
+          table->MultiGet(group, options.use_filter);
+        }
         for (BatchGetContext* ctx : group) {
           auto* ks = static_cast<LookupState*>(ctx->arg);
           if (ctx->filter_pruned) {

@@ -5,12 +5,51 @@
 #include <sstream>
 
 #include "core/filename.h"
-#include "core/table_cache.h"
+#include "filter/filter_policy.h"
+#include "format/sstable_reader.h"
 #include "util/coding.h"
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
 
 namespace lsmlab {
+
+// ---------------------------------------------------------- FileMetaData --
+
+FileMetaData::~FileMetaData() {
+  delete table_.load(std::memory_order_acquire);
+  if (obsolete && cleanup) {
+    cleanup(this);
+  }
+}
+
+Status FileMetaData::Table(const SSTable** table) const {
+  *table = table_.load(std::memory_order_acquire);
+  if (*table != nullptr) {
+    return Status::OK();
+  }
+  if (versions == nullptr) {
+    return Status::InvalidArgument("file has no reader: not installed");
+  }
+  std::unique_ptr<SSTable> opened;
+  Status s = versions->OpenTable(*this, &opened);
+  if (!s.ok()) {
+    return s;
+  }
+  const SSTable* expected = nullptr;
+  if (table_.compare_exchange_strong(expected, opened.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+    *table = opened.release();
+  } else {
+    *table = expected;  // another thread published first; ours dies here
+  }
+  return Status::OK();
+}
+
+uint64_t FileMetaData::CacheHits() const {
+  const SSTable* table = opened_table();
+  return table != nullptr ? table->cache_hits() : 0;
+}
 
 // --------------------------------------------------------------- Version --
 
@@ -215,30 +254,92 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
 // ------------------------------------------------------------ VersionSet --
 
 VersionSet::VersionSet(std::string dbname, const Options* options,
-                       TableCache* table_cache,
                        const InternalKeyComparator* icmp)
     : dbname_(std::move(dbname)),
       options_(options),
       env_(options->env),
-      table_cache_(table_cache),
       icmp_(icmp),
-      current_(std::make_shared<Version>(options->max_levels)) {}
+      current_(std::make_shared<Version>(options->max_levels)) {
+  // Default: uniform bits everywhere; ConfigureFilterBits overrides.
+  ConfigureFilterBits(std::vector<double>(options_->max_levels,
+                                          options_->filter_bits_per_key));
+}
 
 VersionSet::~VersionSet() = default;
 
+void VersionSet::ConfigureFilterBits(
+    const std::vector<double>& bits_per_level) {
+  per_level_options_.assign(options_->max_levels, nullptr);
+  for (int level = 0; level < options_->max_levels; level++) {
+    auto t = std::make_unique<TableOptions>();
+    t->comparator = icmp_;
+    t->block_size = options_->block_size;
+    t->block_restart_interval = options_->block_restart_interval;
+    t->use_hash_index = options_->block_hash_index;
+    t->partition_filters = options_->partition_filters;
+    t->hash_index_util_ratio = options_->hash_index_util_ratio;
+    t->index_type = options_->index_type;
+    t->learned_index_epsilon = options_->learned_index_epsilon;
+    t->searchable_key = [](const Slice& internal_key) {
+      return ExtractUserKey(internal_key);
+    };
+    t->range_filter_policy = options_->range_filter_policy;
+
+    const double bits =
+        level < static_cast<int>(bits_per_level.size())
+            ? bits_per_level[level]
+            : options_->filter_bits_per_key;
+    if (bits > 0 &&
+        options_->filter_allocation != FilterAllocation::kNone) {
+      t->filter_policy = options_->filter_factory != nullptr
+                             ? options_->filter_factory(bits)
+                             : NewBloomFilterPolicy(bits);
+    }
+    // The options own their filter policy: it lives as long as the last
+    // file installed, or table being built, with these options.
+    per_level_options_[level] = std::shared_ptr<const TableOptions>(
+        t.release(), [](const TableOptions* o) {
+          delete o->filter_policy;
+          delete o;
+        });
+  }
+}
+
+std::shared_ptr<const TableOptions> VersionSet::TableOptionsForLevel(
+    int level) const {
+  // Levels ultimately come off the manifest; clamp rather than index out
+  // of bounds if a corrupt FileMetaData slips past recovery validation.
+  level = std::clamp(level, 0,
+                     static_cast<int>(per_level_options_.size()) - 1);
+  return per_level_options_[level];
+}
+
+Status VersionSet::OpenTable(const FileMetaData& f,
+                             std::unique_ptr<SSTable>* table) const {
+  std::unique_ptr<RandomAccessFile> file;
+  const std::string fname = TableFileName(dbname_, f.number);
+  // batch-io-ok: one open per live file, on its first use.
+  Status s = env_->NewRandomAccessFile(fname, &file);
+  if (!s.ok()) {
+    return s;
+  }
+  return SSTable::Open(*f.table_options, std::move(file), f.file_size,
+                       options_->block_cache, table);
+}
+
 FileMetaPtr VersionSet::WrapFile(const FileMetaData& meta) {
   auto file = std::make_shared<FileMetaData>(meta);
-  Env* env = env_;
-  TableCache* cache = table_cache_;
-  const std::string dbname = dbname_;
+  // `this` outlives every file because ~VersionSet drops the last Version
+  // itself. The level's options are captured now, under the DB mutex, so
+  // a later ConfigureFilterBits never reaches this file's reader.
+  file->versions = this;
+  file->table_options = TableOptionsForLevel(meta.level);
   // Reads deletion_observer_ at fire time (not capture time) so an observer
-  // registered after recovery still sees recovery-era files; `this` outlives
-  // every cleanup because ~VersionSet drops the last Version itself.
-  file->cleanup = [this, env, cache, dbname](FileMetaData* f) {
-    cache->Evict(f->number);
+  // registered after recovery still sees recovery-era files.
+  file->cleanup = [this](FileMetaData* f) {
     // status-ok: best-effort; an undeleted table is swept as an orphan
     // on reopen.
-    env->RemoveFile(TableFileName(dbname, f->number)).IgnoreError();
+    env_->RemoveFile(TableFileName(dbname_, f->number)).IgnoreError();
     if (deletion_observer_) {
       deletion_observer_(f->number);
     }
@@ -441,6 +542,7 @@ Status VersionSet::Recover() {
   const std::string manifest_name = dbname_ + "/" + current_contents;
 
   std::unique_ptr<SequentialFile> manifest;
+  // batch-io-ok: the manifest, read once at recovery, not by any lookup.
   s = env_->NewSequentialFile(manifest_name, &manifest);
   if (!s.ok()) {
     return s;
@@ -555,7 +657,6 @@ void VersionSet::RemoveOrphanedFiles() {
         keep = true;
     }
     if (!keep) {
-      table_cache_->Evict(number);
       // status-ok: best-effort; an unremovable orphan is retried on the
       // next reopen.
       env_->RemoveFile(dbname_ + "/" + child).IgnoreError();

@@ -9,6 +9,7 @@
 
 #include "core/dbformat.h"
 #include "core/options.h"
+#include "format/table_options.h"
 #include "storage/env.h"
 #include "util/slice.h"
 #include "util/status.h"
@@ -16,16 +17,17 @@
 namespace lsmlab {
 
 class Env;
-class TableCache;
+class SSTable;
+class VersionSet;
 
 namespace wal {
 class Writer;
 }
 
-/// Metadata of one immutable SSTable. Shared (via shared_ptr) by every
-/// Version that contains the file; when the last reference drops and the
-/// file was superseded by a compaction, the on-disk file is deleted and the
-/// open table is evicted from the table cache.
+/// Metadata of one immutable SSTable, and the owner of its reader. Shared
+/// (via shared_ptr) by every Version that contains the file; when the last
+/// reference drops the reader closes, and if the file was superseded by a
+/// compaction the on-disk file is deleted.
 struct FileMetaData {
   uint64_t number = 0;
   uint64_t file_size = 0;
@@ -44,11 +46,17 @@ struct FileMetaData {
   /// True once the file left the latest version; the destructor then
   /// removes it from storage.
   bool obsolete = false;
+  /// Set by VersionSet::WrapFile on a live file: the set that opens its
+  /// reader, the level's TableOptions captured at install to open it with,
+  /// and the hook that removes an obsolete file from storage.
+  const VersionSet* versions = nullptr;
+  std::shared_ptr<const TableOptions> table_options;
   std::function<void(FileMetaData*)> cleanup;
 
   FileMetaData() = default;
   /// Copies describe the file (for manifest edits); runtime state — probe
-  /// counters, obsolescence, cleanup hooks — intentionally stays behind.
+  /// counters, obsolescence, hooks, the reader — intentionally stays
+  /// behind.
   FileMetaData(const FileMetaData& o)
       : number(o.number),
         file_size(o.file_size),
@@ -66,11 +74,27 @@ struct FileMetaData {
     return *this;
   }
 
-  ~FileMetaData() {
-    if (obsolete && cleanup) {
-      cleanup(this);
-    }
+  /// Closes the reader, then runs `cleanup` on an obsolete file.
+  ~FileMetaData();
+
+  /// The file's reader: opened by `versions` on first use, then
+  /// shared by every lookup, iterator and compaction of the file until the
+  /// FileMetaData dies — the index and filters stay in memory exactly
+  /// while the file is live (tutorial §II-1). Threads racing the first use
+  /// each open one and a compare-and-swap publishes the winner's; a losing
+  /// thread deletes its own. A failed open publishes nothing, so the next
+  /// use retries.
+  Status Table(const SSTable** table) const;
+  /// The reader if one has been opened, else nullptr.
+  const SSTable* opened_table() const {
+    return table_.load(std::memory_order_acquire);
   }
+  /// The reader's cache_hits() (0 before the first open): the per-file
+  /// hotness signal of the kCold picker and the compaction prefetcher.
+  uint64_t CacheHits() const;
+
+ private:
+  mutable std::atomic<const SSTable*> table_{nullptr};
 };
 
 using FileMetaPtr = std::shared_ptr<FileMetaData>;
@@ -193,7 +217,7 @@ class VersionEdit {
 class VersionSet {
  public:
   VersionSet(std::string dbname, const Options* options,
-             TableCache* table_cache, const InternalKeyComparator* icmp);
+             const InternalKeyComparator* icmp);
   ~VersionSet();
 
   VersionSet(const VersionSet&) = delete;
@@ -208,6 +232,23 @@ class VersionSet {
   Status LogAndApply(VersionEdit* edit);
 
   VersionPtr current() const { return current_; }
+
+  /// Installs per-level filter bits/key (index = level): the uniform or
+  /// Monkey filter-memory allocation of tutorial §II-5. Tables built and
+  /// files installed afterwards use the new options; a live file keeps
+  /// the options it was installed with, so its reader never sees them
+  /// change. REQUIRES: the DB mutex and the job slot (the only builder of
+  /// tables).
+  void ConfigureFilterBits(const std::vector<double>& bits_per_level);
+
+  /// The options tables of `level` are built with. The pointer keeps them,
+  /// and the filter policy they own, alive while a builder holds it.
+  std::shared_ptr<const TableOptions> TableOptionsForLevel(int level) const;
+
+  /// Opens a reader for installed file `f` with its captured options
+  /// (FileMetaData::Table publishes it). Thread-safe.
+  Status OpenTable(const FileMetaData& f,
+                   std::unique_ptr<SSTable>* table) const;
 
   /// Thread-safe: background table builds allocate output numbers while
   /// the DB mutex is released.
@@ -251,8 +292,8 @@ class VersionSet {
   const std::string dbname_;
   const Options* const options_;
   Env* const env_;
-  TableCache* const table_cache_;
   const InternalKeyComparator* const icmp_;
+  std::vector<std::shared_ptr<const TableOptions>> per_level_options_;
 
   VersionPtr current_;
   std::atomic<uint64_t> next_file_number_{2};

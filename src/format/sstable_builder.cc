@@ -84,6 +84,11 @@ void SSTableBuilder::Add(const Slice& key, const Slice& value) {
     if (filter_keys_.empty() ||
         Slice(filter_keys_.back()) != searchable) {
       filter_keys_.push_back(searchable.ToString());
+    } else if (partition_first_key_ == filter_keys_.size()) {
+      // The key's versions straddle a block boundary: this block's filter
+      // partition needs the key too, or a lookup whose visible version
+      // lives here is rejected.
+      partition_first_key_--;
     }
   }
 

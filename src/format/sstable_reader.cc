@@ -51,16 +51,16 @@ class PinnedBlockIterator : public Iterator {
 
 }  // namespace
 
-SSTable::SSTable(const TableOptions& options, uint64_t file_number,
-                 BlockCache* block_cache)
-    : options_(options), file_number_(file_number), block_cache_(block_cache) {}
+SSTable::SSTable(const TableOptions& options, BlockCache* block_cache)
+    : options_(options),
+      block_cache_(block_cache),
+      cache_id_(block_cache != nullptr ? block_cache->NewId() : 0) {}
 
 SSTable::~SSTable() = default;
 
 Status SSTable::Open(const TableOptions& options,
                      std::unique_ptr<RandomAccessFile> file,
-                     uint64_t file_size, uint64_t file_number,
-                     BlockCache* block_cache,
+                     uint64_t file_size, BlockCache* block_cache,
                      std::unique_ptr<SSTable>* table) {
   table->reset();
   if (file_size < Footer::kEncodedLength) {
@@ -80,7 +80,7 @@ Status SSTable::Open(const TableOptions& options,
     return s;
   }
 
-  std::unique_ptr<SSTable> t(new SSTable(options, file_number, block_cache));
+  std::unique_ptr<SSTable> t(new SSTable(options, block_cache));
   t->file_ = std::move(file);
   t->file_size_ = file_size;
 
@@ -241,8 +241,9 @@ Status SSTable::GetBlock(const BlockHandle& handle, BlockCache::Ref* ref,
                          const Block** block, uint64_t access_weight) const {
   *block = nullptr;
   if (block_cache_ != nullptr) {
-    *ref = block_cache_->Lookup(file_number_, handle.offset(), access_weight);
+    *ref = block_cache_->Lookup(cache_id_, handle.offset());
     if (*ref) {
+      cache_hits_.fetch_add(access_weight, std::memory_order_relaxed);
       *block = ref->block();
       return Status::OK();
     }
@@ -254,7 +255,7 @@ Status SSTable::GetBlock(const BlockHandle& handle, BlockCache::Ref* ref,
   }
   auto fresh = std::make_unique<const Block>(std::move(contents));
   if (block_cache_ != nullptr) {
-    *ref = block_cache_->Insert(file_number_, handle.offset(),
+    *ref = block_cache_->Insert(cache_id_, handle.offset(),
                                 std::move(fresh));
     *block = ref->block();
   } else {

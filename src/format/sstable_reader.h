@@ -1,6 +1,7 @@
 #ifndef LSMLAB_FORMAT_SSTABLE_READER_H_
 #define LSMLAB_FORMAT_SSTABLE_READER_H_
 
+#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,11 +21,11 @@
 namespace lsmlab {
 
 /// One key's state within a point lookup. DB::Get is a lookup of one key
-/// and DB::MultiGet of many; both pass their contexts through
-/// TableCache::GetBatch and SSTable::MultiGet for every table they probe.
-/// The per-probe outputs (`filter_pruned`, `status`) are reset by
-/// TableCache::GetBatch at the start of each table; a context built fresh
-/// for a direct SSTable::MultiGet call starts reset.
+/// and DB::MultiGet of many; both pass their contexts to SSTable::MultiGet
+/// for every table they probe. The per-probe outputs (`filter_pruned`,
+/// `status`) are reset by the caller (DBImpl::LookupKeys) at the start of
+/// each table, along with its monolithic-filter pass; a context built
+/// fresh for a direct SSTable::MultiGet call starts reset.
 struct BatchGetContext {
   // Inputs, set once per lookup by the caller.
   Slice target;       ///< internal lookup key (user_key . seq/type tag)
@@ -51,12 +52,12 @@ struct BatchGetContext {
 /// spline over the numeric fences replaces binary search for point lookups.
 class SSTable {
  public:
-  /// Opens a table. `file_number` keys the block cache (pass 0 with a null
-  /// cache for standalone use). On success *table owns the file.
+  /// Opens a table, reading its data blocks through `block_cache` (may be
+  /// null) under a cache id of its own. On success *table owns the file.
   static Status Open(const TableOptions& options,
                      std::unique_ptr<RandomAccessFile> file,
-                     uint64_t file_size, uint64_t file_number,
-                     BlockCache* block_cache, std::unique_ptr<SSTable>* table);
+                     uint64_t file_size, BlockCache* block_cache,
+                     std::unique_ptr<SSTable>* table);
 
   ~SSTable();
 
@@ -93,7 +94,14 @@ class SSTable {
                 bool use_filter) const;
 
   const TableProperties& properties() const { return props_; }
-  uint64_t file_number() const { return file_number_; }
+
+  /// Block-cache hits on this table, each weighted by the keys it served:
+  /// a coalesced MultiGet probe serving N keys from one cached block
+  /// counts N, so the signal matches N looped Gets. The hotness read by
+  /// the kCold file picker and the post-compaction prefetcher.
+  uint64_t cache_hits() const {
+    return cache_hits_.load(std::memory_order_relaxed);
+  }
 
   /// Loads up to `budget_bytes` of data blocks (front to back) through the
   /// block cache — the Leaper-style re-warm after compaction (§II-1).
@@ -104,8 +112,7 @@ class SSTable {
   size_t IndexMemoryUsage() const;
 
  private:
-  SSTable(const TableOptions& options, uint64_t file_number,
-          BlockCache* block_cache);
+  SSTable(const TableOptions& options, BlockCache* block_cache);
 
   Status ReadMeta(const Footer& footer);
 
@@ -115,7 +122,7 @@ class SSTable {
 
   /// Fetches (and pins/owns) the block at `handle`. On success *block
   /// points at a Block kept alive by *ref or *owned. `access_weight` is the
-  /// number of keys this fetch serves (see BlockCache::Lookup).
+  /// number of keys this fetch serves (see cache_hits()).
   Status GetBlock(const BlockHandle& handle, BlockCache::Ref* ref,
                   std::shared_ptr<const Block>* owned, const Block** block,
                   uint64_t access_weight = 1) const;
@@ -156,9 +163,10 @@ class SSTable {
   bool has_partitioned_filter() const { return !partition_handles_.empty(); }
 
   TableOptions options_;
-  uint64_t file_number_;
   uint64_t file_size_ = 0;  // bounds every untrusted BlockHandle
   BlockCache* block_cache_;
+  uint64_t cache_id_;  // this reader's key space in block_cache_
+  mutable std::atomic<uint64_t> cache_hits_{0};
   std::unique_ptr<RandomAccessFile> file_;
   std::unique_ptr<Block> index_block_;
   std::string filter_data_;

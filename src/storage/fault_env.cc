@@ -21,6 +21,7 @@ struct FaultInjectionEnv::State {
   Mutex mu{LockRank::kFaultStateMu};
   std::map<std::string, FileDurability> files GUARDED_BY(mu);
   std::atomic<bool> crashed{false};
+  std::atomic<bool> fail_random_access_opens{false};
 
   // Kill-point machinery: counts write ops (Append/Sync) and starts
   // rejecting them once the armed budget is spent.
@@ -109,7 +110,14 @@ FaultInjectionEnv::~FaultInjectionEnv() = default;
 
 Status FaultInjectionEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
+  if (state_->fail_random_access_opens.load(std::memory_order_relaxed)) {
+    return Status::IOError(fname, "injected open fault");
+  }
   return state_->base->NewRandomAccessFile(fname, result);
+}
+
+void FaultInjectionEnv::SetRandomAccessOpenFault(bool fail) {
+  state_->fail_random_access_opens.store(fail, std::memory_order_relaxed);
 }
 
 Status FaultInjectionEnv::NewWritableFile(

@@ -58,6 +58,10 @@ class FaultInjectionEnv : public Env {
   /// last Crash(). A full un-killed run's count bounds the sweep above.
   uint64_t write_ops() const;
 
+  /// While set, every NewRandomAccessFile fails with an IOError: a table
+  /// whose reader cannot be opened.
+  void SetRandomAccessOpenFault(bool fail);
+
   /// File whose operation first hit an armed kill point (empty until then;
   /// cleared by ArmKillPoint/Crash). Lets tests classify which structure
   /// the kill landed in: "*.wal", "*.sst", "MANIFEST-*".

@@ -27,8 +27,6 @@
   X(kThreadPoolMu, 20, "ThreadPool::mu_", false)               \
   X(kValueLogMu, 30, "ValueLog::mu_", true)                    \
   X(kValueLogReadersMu, 40, "ValueLog::readers_mu_", true)     \
-  X(kTableCacheMu, 50, "TableCache::mu_", false)               \
-  X(kBlockCacheAccessMu, 60, "BlockCache::access_mu_", false)  \
   X(kLruShardMu, 70, "LruCache::Shard::mu", false)             \
   X(kDeletionsMu, 80, "DBImpl::deletions_mu_", false)          \
   X(kStatsHistMu, 90, "StatsRegistry::hist_mu_", false)        \

@@ -4,7 +4,7 @@
 /// Debug-build leak detector for refcounted pins — the runtime mirror of
 /// the static acquire/release analysis in tools/check_resource_flow.py.
 ///
-/// A cache that hands out pinned handles (LruCache, TableCache) owns one
+/// A cache that hands out pinned handles (LruCache) owns one
 /// PinTracker per resource kind. Every externally visible acquisition
 /// records the caller's source location (captured by a defaulted
 /// std::source_location parameter on the acquire API, so the recorded site

@@ -1,18 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/block_cache.h"
 #include "cache/lru_cache.h"
-#include "core/dbformat.h"
-#include "core/filename.h"
-#include "core/table_cache.h"
+#include "core/db.h"
 #include "format/block.h"
 #include "format/block_builder.h"
 #include "format/sstable_builder.h"
+#include "format/sstable_reader.h"
 #include "storage/env.h"
+#include "storage/fault_env.h"
+#include "util/hash.h"
 
 namespace lsmlab {
 namespace {
@@ -159,33 +164,21 @@ std::unique_ptr<const Block> MakeBlock(int tag) {
   return std::make_unique<const Block>(std::move(contents));
 }
 
-TEST(BlockCacheTest, InsertLookupByFileAndOffset) {
+TEST(BlockCacheTest, InsertLookupByIdAndOffset) {
   BlockCache cache(1 << 20);
+  const uint64_t id = cache.NewId();
+  const uint64_t other = cache.NewId();
+  ASSERT_NE(id, other);
   {
-    auto ref = cache.Insert(5, 4096, MakeBlock(1));
+    auto ref = cache.Insert(id, 4096, MakeBlock(1));
     EXPECT_TRUE(static_cast<bool>(ref));
   }
-  auto hit = cache.Lookup(5, 4096);
+  auto hit = cache.Lookup(id, 4096);
   EXPECT_TRUE(static_cast<bool>(hit));
-  auto miss_offset = cache.Lookup(5, 8192);
+  auto miss_offset = cache.Lookup(id, 8192);
   EXPECT_FALSE(static_cast<bool>(miss_offset));
-  auto miss_file = cache.Lookup(6, 4096);
-  EXPECT_FALSE(static_cast<bool>(miss_file));
-}
-
-TEST(BlockCacheTest, TracksPerFileHotness) {
-  BlockCache cache(1 << 20);
-  cache.Insert(1, 0, MakeBlock(1));
-  cache.Insert(2, 0, MakeBlock(2));
-  for (int i = 0; i < 5; i++) {
-    cache.Lookup(1, 0);
-  }
-  cache.Lookup(2, 0);
-  EXPECT_EQ(cache.FileAccesses(1), 5u);
-  EXPECT_EQ(cache.FileAccesses(2), 1u);
-  EXPECT_EQ(cache.FileAccesses(3), 0u);
-  cache.ResetStats();
-  EXPECT_EQ(cache.FileAccesses(1), 0u);
+  auto miss_id = cache.Lookup(other, 4096);
+  EXPECT_FALSE(static_cast<bool>(miss_id));
 }
 
 TEST(BlockCacheTest, RefKeepsBlockAliveAcrossEviction) {
@@ -203,62 +196,210 @@ TEST(BlockCacheTest, RefKeepsBlockAliveAcrossEviction) {
   EXPECT_EQ(it->key().ToString(), "key1");
 }
 
-// ---------------------------------------------------------- TableCache --
+// ------------------------------------------------------ Per-file reader --
 
-/// Regression: FindTable's error paths must clear the out-param. The batch
-/// read path reuses one shared_ptr across a per-file loop; before the fix,
-/// a failed open left the previous table's reader pinned in it, keeping
-/// the handle (and its open file) alive past Evict.
-TEST(TableCacheTest, ErrorPathsDoNotRetainPriorHandle) {
-  std::unique_ptr<Env> env(NewMemEnv());
+/// A memtable-free DB on `env` whose one table file holds key0..key{n-1};
+/// the file's reader is not opened yet.
+std::unique_ptr<DB> OneTableDb(Env* env, int n) {
   Options options;
-  options.env = env.get();
-  options.filter_allocation = FilterAllocation::kNone;
-  InternalKeyComparator icmp(BytewiseComparator());
-  TableCache cache("/db", &options, &icmp);
+  options.env = env;
+  std::unique_ptr<DB> db;
+  EXPECT_TRUE(DB::Open(options, "/db", &db).ok());
+  for (int i = 0; i < n; i++) {
+    EXPECT_TRUE(
+        db->Put({}, "key" + std::to_string(i), "value" + std::to_string(i))
+            .ok());
+  }
+  EXPECT_TRUE(db->Flush().ok());
+  return db;
+}
 
-  ASSERT_TRUE(env->CreateDir("/db").ok());
-  const std::string good_name = TableFileName("/db", 7);
+TEST(TableReaderTest, FailedOpenIsRetriedByTheNextGet) {
+  std::unique_ptr<Env> mem(NewMemEnv());
+  FaultInjectionEnv env(mem.get());
+  std::unique_ptr<DB> db = OneTableDb(&env, 1);
+  std::string value;
+
+  env.SetRandomAccessOpenFault(true);
+  Status s = db->Get({}, "key0", &value);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(db->GetStats().index_filter_memory, 0u);
+
+  env.SetRandomAccessOpenFault(false);
+  ASSERT_TRUE(db->Get({}, "key0", &value).ok());
+  EXPECT_EQ(value, "value0");
+  EXPECT_GT(db->GetStats().index_filter_memory, 0u);
+}
+
+/// Counts random-access handles and, once armed with `racers`, parks every
+/// open until that many are in flight, so they all race to publish.
+class OpenRaceEnv : public Env {
+ public:
+  explicit OpenRaceEnv(Env* base) : base_(base) {}
+
+  void Arm(int racers) {
+    std::lock_guard<std::mutex> lock(mu_);
+    racers_ = racers;
+  }
+  int opens() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return opens_;
+  }
+  int live() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return live_;
+  }
+
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    std::unique_ptr<RandomAccessFile> file;
+    Status s = base_->NewRandomAccessFile(fname, &file);
+    if (!s.ok()) {
+      return s;
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      opens_++;
+      live_++;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(10),
+                   [this] { return opens_ >= racers_; });
+    }
+    *result = std::make_unique<CountedFile>(this, std::move(file));
+    return s;
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return base_->NewWritableFile(fname, result);
+  }
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return base_->CreateDir(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+
+ private:
+  class CountedFile : public RandomAccessFile {
+   public:
+    CountedFile(OpenRaceEnv* env, std::unique_ptr<RandomAccessFile> base)
+        : env_(env), base_(std::move(base)) {}
+    ~CountedFile() override {
+      std::lock_guard<std::mutex> lock(env_->mu_);
+      env_->live_--;
+    }
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      return base_->Read(offset, n, result, scratch);
+    }
+    uint64_t Size() const override { return base_->Size(); }
+
+   private:
+    OpenRaceEnv* env_;
+    std::unique_ptr<RandomAccessFile> base_;
+  };
+
+  Env* const base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int racers_ = 0;
+  int opens_ = 0;
+  int live_ = 0;
+};
+
+TEST(TableReaderTest, RacingFirstGetsLeaveOneReader) {
+  std::unique_ptr<Env> mem(NewMemEnv());
+  OpenRaceEnv env(mem.get());
+  std::unique_ptr<DB> db = OneTableDb(&env, 1);
+  ASSERT_EQ(env.opens(), 0) << "the flush opened the reader eagerly";
+
+  constexpr int kThreads = 4;
+  env.Arm(kThreads);
+  std::vector<std::thread> threads;
+  std::vector<Status> statuses(kThreads);
+  std::vector<std::string> values(kThreads);
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back(
+        [&, t] { statuses[t] = db->Get({}, "key0", &values[t]); });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (int t = 0; t < kThreads; t++) {
+    ASSERT_TRUE(statuses[t].ok()) << statuses[t].ToString();
+    EXPECT_EQ(values[t], "value0");
+  }
+  EXPECT_EQ(env.opens(), kThreads);  // every racer opened a reader...
+  EXPECT_EQ(env.live(), 1);          // ...and only the published one lives
+
+  std::string value;
+  ASSERT_TRUE(db->Get({}, "key0", &value).ok());
+  EXPECT_EQ(env.opens(), kThreads) << "a published reader was reopened";
+}
+
+void SaveAny(void* /*arg*/, const Slice& /*key*/, const Slice& /*value*/) {}
+
+TEST(TableReaderTest, CoalescedMultiGetCreditsEveryKeyItServes) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  TableOptions opts;  // 4 KiB blocks: the keys below share one
+  constexpr int kKeys = 8;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; i++) {
+    keys.push_back("key" + std::to_string(i));
+  }
+  uint64_t file_size = 0;
   {
     std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env->NewWritableFile(good_name, &file).ok());
-    SSTableBuilder builder(cache.TableOptionsForLevel(0), file.get());
-    std::string ikey;
-    AppendInternalKey(&ikey, "key", 1, ValueType::kTypeValue);
-    builder.Add(ikey, "value");
+    ASSERT_TRUE(env->NewWritableFile("/t.sst", &file).ok());
+    SSTableBuilder builder(opts, file.get());
+    for (const std::string& k : keys) {
+      builder.Add(k, "value");
+    }
     ASSERT_TRUE(builder.Finish().ok());
+    file_size = builder.FileSize();
   }
-  FileMetaData good;
-  good.number = 7;
-  ASSERT_TRUE(env->GetFileSize(good_name, &good.file_size).ok());
+  BlockCache cache(1 << 20);
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env->NewRandomAccessFile("/t.sst", &file).ok());
+  std::unique_ptr<SSTable> table;
+  ASSERT_TRUE(
+      SSTable::Open(opts, std::move(file), file_size, &cache, &table).ok());
 
-  // A table whose bytes cannot possibly parse, and one that does not exist.
-  FileMetaData corrupt;
-  corrupt.number = 8;
-  corrupt.file_size = 64;
-  ASSERT_TRUE(WriteStringToFile(env.get(), std::string(64, 'z'),
-                                TableFileName("/db", 8))
-                  .ok());
-  FileMetaData missing;
-  missing.number = 9;
-  missing.file_size = 64;
-
-  std::shared_ptr<SSTable> table;
-  ASSERT_TRUE(cache.FindTable(good, &table).ok());
-  ASSERT_NE(table, nullptr);
-  std::weak_ptr<const SSTable> alive = table;
-
-  EXPECT_FALSE(cache.FindTable(corrupt, &table).ok());
-  EXPECT_EQ(table, nullptr) << "failed open retained the previous handle";
-
-  ASSERT_TRUE(cache.FindTable(good, &table).ok());
-  EXPECT_FALSE(cache.FindTable(missing, &table).ok());
-  EXPECT_EQ(table, nullptr) << "failed open retained the previous handle";
-
-  // With no stray pin left behind, evicting the good table drops the last
-  // reference to its reader.
-  cache.Evict(7);
-  EXPECT_TRUE(alive.expired());
+  auto multiget = [&] {
+    std::vector<BatchGetContext> ctxs(kKeys);
+    std::vector<BatchGetContext*> batch;
+    for (int i = 0; i < kKeys; i++) {
+      ctxs[i].target = keys[i];
+      ctxs[i].searchable = keys[i];
+      ctxs[i].hash = Hash64(Slice(keys[i]));
+      ctxs[i].handler = &SaveAny;
+      batch.push_back(&ctxs[i]);
+    }
+    table->MultiGet(batch, /*use_filter=*/false);
+  };
+  multiget();  // the block's first fetch is a miss: no credit
+  EXPECT_EQ(table->cache_hits(), 0u);
+  multiget();  // one cached-block hit serving every key
+  EXPECT_EQ(table->cache_hits(), static_cast<uint64_t>(kKeys));
 }
 
 }  // namespace

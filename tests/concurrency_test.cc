@@ -3,6 +3,7 @@
 // job runners. Run under -DLSMLAB_SANITIZE=thread to prove the pipeline is
 // data-race free (see README).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -226,6 +227,65 @@ TEST(ConcurrencyTest, IteratorsStayConsistentDuringBackgroundChurn) {
   done.store(true);
   scanner.join();
   EXPECT_EQ(scan_errors.load(), 0);
+}
+
+// Monkey re-derives the per-level filter allocation on every flush and
+// compaction, under the DB mutex, while Gets open the readers of fresh
+// files with no lock held. A reader must open with the options its file
+// was installed with: reading the per-level options while a job rebuilds
+// them is a data race, which TSan reports here.
+TEST(ConcurrencyTest, MonkeyReconfigureRacesFirstTableOpens) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options;
+  options.env = env.get();
+  options.filter_allocation = FilterAllocation::kMonkey;
+  options.background_compaction = true;
+  options.write_buffer_size = 16 << 10;
+  options.max_file_size = 16 << 10;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/monkey", &db).ok());
+
+  constexpr int kKeys = 6000;
+  std::atomic<int> written{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> errors{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kKeys; i++) {
+      const std::string key = TestKey(0, i);
+      if (!db->Put({}, key, TestValue(key, i)).ok()) {
+        errors.fetch_add(1);
+      }
+      written.store(i + 1, std::memory_order_release);
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; r++) {
+    readers.emplace_back([&, r] {
+      Random rnd(r + 1);
+      std::string value;
+      while (!done.load()) {
+        const int n = written.load(std::memory_order_acquire);
+        if (n == 0) {
+          continue;
+        }
+        // Recent keys live in the newest files, whose readers are the
+        // ones still unopened.
+        const int i = n - 1 - static_cast<int>(rnd.Uniform(std::min(n, 200)));
+        const std::string key = TestKey(0, i);
+        int version = -1;
+        if (!db->Get({}, key, &value).ok() ||
+            !ValueConsistent(key, value, &version) || version != i) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
 }
 
 // Readers are safe against the writer on the sorted-vector memtable too:

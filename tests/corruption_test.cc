@@ -89,7 +89,7 @@ void ExerciseTable(Env* env, const TableOptions& opts,
   ASSERT_TRUE(env->NewRandomAccessFile("/probe", &file).ok());
   std::unique_ptr<SSTable> table;
   Status s =
-      SSTable::Open(opts, std::move(file), image.size(), 1, nullptr, &table);
+      SSTable::Open(opts, std::move(file), image.size(), nullptr, &table);
   EXPECT_TRUE(CleanStatus(s)) << context;
   if (!s.ok()) {
     return;

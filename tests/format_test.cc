@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "core/dbformat.h"
 #include "format/block.h"
 #include "format/block_builder.h"
 #include "format/format.h"
@@ -301,9 +302,9 @@ class SSTableTest : public ::testing::Test {
   void OpenTable() {
     std::unique_ptr<RandomAccessFile> file;
     ASSERT_TRUE(env_->NewRandomAccessFile("/t.sst", &file).ok());
-    ASSERT_TRUE(SSTable::Open(opts_, std::move(file), file_size_, 1, nullptr,
-                              &table_)
-                    .ok());
+    ASSERT_TRUE(
+        SSTable::Open(opts_, std::move(file), file_size_, nullptr, &table_)
+            .ok());
   }
 
   // `key` through SSTable::MultiGet, the table's only point lookup, as a
@@ -509,7 +510,7 @@ TEST_F(SSTableTest, TruncatedFileRejected) {
   ASSERT_TRUE(env_->NewRandomAccessFile("/t.sst", &file).ok());
   std::unique_ptr<SSTable> table;
   EXPECT_FALSE(
-      SSTable::Open(opts_, std::move(file), data.size(), 1, nullptr, &table)
+      SSTable::Open(opts_, std::move(file), data.size(), nullptr, &table)
           .ok());
 }
 
@@ -561,6 +562,68 @@ TEST_F(SSTableTest, LearnedIndexWithPartitionedFilterFindsEveryKey) {
     EXPECT_EQ(got, value) << key;
   }
   EXPECT_GT(GetPerfContext()->Delta(before).learned_index_seek_count, 0u);
+}
+
+/// Whether the first entry >= a lookup's target is a version of the
+/// sought user key.
+struct VersionProbe {
+  std::string user_key;
+  bool found = false;
+};
+
+void SaveVersion(void* arg, const Slice& ikey, const Slice& /*value*/) {
+  auto* probe = static_cast<VersionProbe*>(arg);
+  probe->found = ExtractUserKey(ikey) == Slice(probe->user_key);
+}
+
+// A user key whose versions straddle a block boundary: the next block
+// starts with a version of the key, so that block's filter partition must
+// hold the key too, or a read at an older sequence (a snapshot) is
+// rejected by the partition of the block its version lives in. Other keys
+// surround the versions so that no partition is empty.
+TEST_F(SSTableTest, PartitionedFilterKeepsAKeyWhoseVersionsStraddleBlocks) {
+  std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  InternalKeyComparator icmp(BytewiseComparator());
+  opts_.comparator = &icmp;
+  opts_.searchable_key = [](const Slice& ikey) { return ExtractUserKey(ikey); };
+  opts_.filter_policy = policy.get();
+  opts_.partition_filters = true;
+  constexpr SequenceNumber kVersions = 12;
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(env_->NewWritableFile("/t.sst", &file).ok());
+  SSTableBuilder builder(opts_, file.get());
+  auto add = [&](const std::string& user_key, SequenceNumber seq) {
+    std::string ikey;
+    AppendInternalKey(&ikey, user_key, seq, ValueType::kTypeValue);
+    builder.Add(ikey, std::string(40, 'v'));
+  };
+  for (int i = 0; i < 6; i++) {
+    add("a" + std::to_string(i), 1);
+  }
+  for (SequenceNumber seq = kVersions; seq >= 1; seq--) {  // newest first
+    add("key", seq);
+  }
+  for (char c = 'a'; c < 'u'; c++) {
+    add(std::string("z") + c, 1);
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  file_size_ = builder.FileSize();
+  OpenTable();
+
+  for (SequenceNumber seq = 1; seq <= kVersions; seq++) {
+    LookupKey lkey("key", seq);
+    VersionProbe probe{"key"};
+    BatchGetContext ctx;
+    ctx.target = lkey.internal_key();
+    ctx.searchable = lkey.user_key();
+    ctx.hash = Hash64(ctx.searchable);
+    ctx.handler = &SaveVersion;
+    ctx.arg = &probe;
+    BatchGetContext* const batch[] = {&ctx};
+    table_->MultiGet(batch, /*use_filter=*/true);
+    EXPECT_FALSE(ctx.filter_pruned) << "sequence " << seq;
+    EXPECT_TRUE(probe.found) << "sequence " << seq;
+  }
 }
 
 TEST_F(SSTableTest, RadixSplineIndexGet) {

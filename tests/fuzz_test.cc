@@ -133,8 +133,8 @@ TEST(FuzzTest, TableOpenRejectsGarbageFiles) {
     std::unique_ptr<RandomAccessFile> file;
     ASSERT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
     std::unique_ptr<SSTable> table;
-    Status s = SSTable::Open(opts, std::move(file), input.size(), 1,
-                             nullptr, &table);
+    Status s =
+        SSTable::Open(opts, std::move(file), input.size(), nullptr, &table);
     // Random bytes are never a valid table (the footer magic + CRCs see
     // to that); opening must fail cleanly.
     EXPECT_FALSE(s.ok());
@@ -173,7 +173,7 @@ TEST(FuzzTest, TableWithCorruptedTailFailsCleanly) {
     ASSERT_TRUE(env->NewRandomAccessFile("/bad", &file).ok());
     std::unique_ptr<SSTable> table;
     Status s =
-        SSTable::Open(opts, std::move(file), file_size, 1, nullptr, &table);
+        SSTable::Open(opts, std::move(file), file_size, nullptr, &table);
     if (!s.ok()) {
       continue;  // rejected at open: fine
     }

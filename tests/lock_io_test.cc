@@ -55,7 +55,7 @@ TEST_F(LockIoTest, GuardFiresOnReadUnderEngineMutex) {
   ASSERT_TRUE(file_->Append(Slice("payload")).ok());
   std::unique_ptr<RandomAccessFile> reader;
   ASSERT_TRUE(env_->NewRandomAccessFile("f", &reader).ok());
-  Mutex mu(LockRank::kTableCacheMu);
+  Mutex mu(LockRank::kLruShardMu);
   EXPECT_DEATH(
       {
         MutexLock lock(&mu);
@@ -63,7 +63,7 @@ TEST_F(LockIoTest, GuardFiresOnReadUnderEngineMutex) {
         char scratch[16];
         reader->Read(0, 7, &result, scratch).IgnoreError();
       },
-      "blocking I/O \\(read\\) while holding engine mutex TableCache::mu_");
+      "blocking I/O \\(read\\) while holding engine mutex LruCache::Shard::mu");
 }
 
 TEST_F(LockIoTest, ScopedAllowanceExemptsAuditedSites) {

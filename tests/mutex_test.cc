@@ -64,9 +64,9 @@ TEST(MutexDeathTest, AssertHeldAbortsWhenNotHeld) {
 
 TEST(LockRankTest, InOrderNestingIsClean) {
   Mutex db(LockRank::kDbMu);
-  Mutex cache(LockRank::kTableCacheMu);
+  Mutex cache(LockRank::kLruShardMu);
   MutexLock outer(&db);
-  MutexLock inner(&cache);  // 10 -> 50: documented order, no abort
+  MutexLock inner(&cache);  // 10 -> 70: documented order, no abort
   EXPECT_EQ(HeldRankedLockCount(), 2u);
 }
 
@@ -85,7 +85,7 @@ TEST(LockRankTest, HeldLockCountBookkeeping) {
 
 TEST(LockRankTest, ReacquisitionAfterReleaseIsClean) {
   Mutex db(LockRank::kDbMu);
-  Mutex cache(LockRank::kTableCacheMu);
+  Mutex cache(LockRank::kLruShardMu);
   // Release-then-acquire in rank-violating textual order is fine: only
   // simultaneous holding counts.
   cache.Lock();
@@ -116,7 +116,7 @@ TEST(LockRankTest, CondVarWaitPreservesRankState) {
     }
     EXPECT_EQ(HeldRankedLockCount(), 1u);
     // Deeper-ranked acquisition still works after the reacquire.
-    Mutex cache(LockRank::kTableCacheMu);
+    Mutex cache(LockRank::kLruShardMu);
     MutexLock inner(&cache);
     EXPECT_EQ(HeldRankedLockCount(), 2u);
   }
@@ -127,13 +127,13 @@ TEST(LockRankTest, CondVarWaitPreservesRankState) {
 TEST(LockRankDeathTest, InversionAbortsWithBothLockNames) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Mutex db(LockRank::kDbMu);
-  Mutex cache(LockRank::kTableCacheMu);
+  Mutex cache(LockRank::kLruShardMu);
   EXPECT_DEATH(
       {
-        MutexLock outer(&cache);  // rank 50 first...
+        MutexLock outer(&cache);  // rank 70 first...
         MutexLock inner(&db);     // ...then rank 10: inversion
       },
-      "lock rank inversion.*DBImpl::mu_.*TableCache::mu_");
+      "lock rank inversion.*DBImpl::mu_.*LruCache::Shard::mu");
 }
 
 TEST(LockRankDeathTest, EqualRankAborts) {
@@ -154,7 +154,7 @@ TEST(LockRankTest, TryLockSkipsTheRankCheck) {
   // TryLock cannot deadlock, so out-of-rank try-acquisition is permitted
   // but still tracked.
   Mutex db(LockRank::kDbMu);
-  Mutex cache(LockRank::kTableCacheMu);
+  Mutex cache(LockRank::kLruShardMu);
   MutexLock outer(&cache);
   ASSERT_TRUE(db.TryLock());
   EXPECT_EQ(HeldRankedLockCount(), 2u);

@@ -1,7 +1,7 @@
 // A client of the library compiled with the opposite NDEBUG setting from
 // the library itself (tests/CMakeLists.txt flips it). Engine headers hold
 // classes whose debug-only members change their layout (Mutex, PinTracker
-// inside LruCache and TableCache); those members follow the library's
+// inside LruCache); those members follow the library's
 // LSMLAB_DEBUG_CHECKS, never the client's NDEBUG, so this client and the
 // library agree on every layout. When they disagree, the first cached Get
 // reads a cache shard through the wrong offsets and dies.

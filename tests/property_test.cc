@@ -31,6 +31,7 @@ struct Config {
   bool hash_index = false;
   TableOptions::IndexType index_type =
       TableOptions::IndexType::kBinarySearch;
+  bool partition_filters = false;
   bool range_filter = false;
   MemTable::Rep memtable = MemTable::Rep::kSkipList;
   bool kv_separation = false;
@@ -54,6 +55,7 @@ class ModelCheckTest : public ::testing::TestWithParam<Config> {
     options_.filter_allocation = cfg.filters;
     options_.block_hash_index = cfg.hash_index;
     options_.index_type = cfg.index_type;
+    options_.partition_filters = cfg.partition_filters;
     options_.memtable_rep = cfg.memtable;
     if (cfg.block_cache) {
       cache_ = std::make_unique<BlockCache>(64 << 10);  // tiny: evictions
@@ -240,6 +242,19 @@ INSTANTIATE_TEST_SUITE_P(
         Config{.name = "radix_spline",
                .policy = MergePolicy::kTiering,
                .index_type = TableOptions::IndexType::kRadixSpline},
+        // One filter partition per 256-byte data block, located through
+        // the fence index, then through each learned index.
+        Config{.name = "partitioned_filters",
+               .policy = MergePolicy::kLeveling,
+               .partition_filters = true},
+        Config{.name = "partitioned_learned_plr",
+               .policy = MergePolicy::kLeveling,
+               .index_type = TableOptions::IndexType::kLearnedPlr,
+               .partition_filters = true},
+        Config{.name = "partitioned_radix_spline",
+               .policy = MergePolicy::kTiering,
+               .index_type = TableOptions::IndexType::kRadixSpline,
+               .partition_filters = true},
         Config{.name = "range_filtered",
                .policy = MergePolicy::kLeveling,
                .range_filter = true},

@@ -15,12 +15,8 @@
 
 #include "cache/block_cache.h"
 #include "cache/lru_cache.h"
-#include "core/dbformat.h"
-#include "core/filename.h"
-#include "core/table_cache.h"
 #include "format/block.h"
 #include "format/block_builder.h"
-#include "format/sstable_builder.h"
 #include "storage/env.h"
 
 namespace lsmlab {
@@ -88,39 +84,6 @@ TEST(ResourceFlowTest, EachLookupIsItsOwnPin) {
         cache.Release(a);
       },
       "LruCache handle: 1 pin\\(s\\) still live");
-}
-
-TEST(ResourceFlowTest, LeakedTableCachePinAbortsNamingTheSite) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::unique_ptr<Env> env(NewMemEnv());
-  Options options;
-  options.env = env.get();
-  options.filter_allocation = FilterAllocation::kNone;
-  InternalKeyComparator icmp(BytewiseComparator());
-
-  ASSERT_TRUE(env->CreateDir("/db").ok());
-  FileMetaData meta;
-  meta.number = 3;
-  {
-    std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env->NewWritableFile(TableFileName("/db", 3), &file).ok());
-    TableCache scratch("/db", &options, &icmp);
-    SSTableBuilder builder(scratch.TableOptionsForLevel(0), file.get());
-    std::string ikey;
-    AppendInternalKey(&ikey, "key", 1, ValueType::kTypeValue);
-    builder.Add(ikey, "value");
-    ASSERT_TRUE(builder.Finish().ok());
-  }
-  ASSERT_TRUE(env->GetFileSize(TableFileName("/db", 3), &meta.file_size).ok());
-
-  EXPECT_DEATH(
-      {
-        std::shared_ptr<SSTable> pinned;  // outlives the cache below
-        auto cache = std::make_unique<TableCache>("/db", &options, &icmp);
-        ASSERT_TRUE(cache->FindTable(meta, &pinned).ok());
-        cache.reset();  // reader pin still live
-      },
-      "TableCache reader pin: 1 pin\\(s\\) still live");
 }
 
 #endif  // LSMLAB_DEBUG_CHECKS

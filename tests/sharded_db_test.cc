@@ -416,6 +416,47 @@ uint64_t TickerOf(const std::string& dump, const std::string& name) {
              : std::stoull(dump.substr(pos + needle.size() - 1));
 }
 
+// Shards number their table files independently, each from the same
+// start, so a block cache shared by every shard must key a block by its
+// reader, not by (file number, offset): otherwise one shard's lookup is
+// served another shard's block and misses its own keys.
+TEST_F(ShardedDBTest, SharedBlockCacheServesEveryShardItsOwnBlocks) {
+  constexpr int kKeys = 2000;
+  BlockCache cache(1 << 20);
+  Options options = ShardedOptions(2);
+  options.block_cache = &cache;
+  Open(options);
+  std::vector<std::string> key_storage;
+  for (int i = 0; i < kKeys; i++) {
+    key_storage.push_back(Key(i));
+    ASSERT_TRUE(db_->Put({}, Key(i), "value" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+
+  std::string value;
+  for (int i = 0; i < kKeys; i++) {
+    const Status s = db_->Get({}, Key(i), &value);
+    ASSERT_TRUE(s.ok()) << Key(i) << ": " << s.ToString();
+    ASSERT_EQ(value, "value" + std::to_string(i)) << Key(i);
+  }
+  const std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  db_->MultiGet({}, keys, &values, &statuses);
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(statuses[i].ok()) << Key(i) << ": " << statuses[i].ToString();
+    ASSERT_EQ(values[i], "value" + std::to_string(i)) << Key(i);
+  }
+  std::unique_ptr<Iterator> it(db_->NewIterator({}));
+  int i = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next(), i++) {
+    ASSERT_EQ(it->key().ToString(), Key(i));
+    ASSERT_EQ(it->value().ToString(), "value" + std::to_string(i));
+  }
+  ASSERT_TRUE(it->status().ok());
+  EXPECT_EQ(i, kKeys);
+}
+
 // Every ticker of the list, checked on every aggregation path after a
 // mixed workload: DBStats field == dump line (per shard and sharded),
 // sharded GetStats == sum of the shards' GetStats, and sharded

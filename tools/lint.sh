@@ -25,11 +25,13 @@
 #      corruption must surface as Status, never as an invariant check.
 #      (tools/check_parsers.sh enforces the rest of the parser contract.)
 #   7. No per-key I/O calls in the point-lookup path (the one core that
-#      Get and MultiGet share, in src/core/db_multiget.cc, and the table
-#      cache under it). The point of batching is one open per table and
-#      one fetch per distinct block; a stray Read/open in those files
-#      silently reverts MultiGet to a looped Get. Deliberate, amortized
-#      calls carry a `batch-io-ok:` comment.
+#      Get and MultiGet share, in src/core/db_multiget.cc, and the opening
+#      of each file's reader, in src/core/version.cc). The point of
+#      batching is one open per table and one fetch per distinct block; a
+#      stray Read/open in those files silently reverts MultiGet to a
+#      looped Get. Deliberate, amortized calls carry a `batch-io-ok:`
+#      comment. A listed file that no longer exists is a violation too,
+#      so a move or rename cannot silently drop its coverage.
 #   8. No WAL appends or WAL-file syncs outside the group-commit module
 #      (src/core/db_write.cc). The writer-queue protocol is what makes
 #      unlocked WAL I/O safe (one leader at a time, log_busy_ excludes
@@ -87,6 +89,7 @@ EOF
   cat > "$tmp/src/core/db_multiget.cc" << 'EOF'
 void Batch() { file->Read(0, n, &result, scratch); }  // check 7
 EOF
+  # check 7 also fires on src/core/version.cc, a listed file left absent.
   cat > "$tmp/src/core/parser.cc" << 'EOF'
 void Parse() { assert(len > 0); }                     // check 6
 EOF
@@ -113,6 +116,11 @@ EOF
   expect "direct IoStats poke"
   expect "assert() in an audited parser"
   expect "unannotated I/O call in a batch-path file"
+  expect "batch-path file missing"
+  if ! grep -q 'src/core/version.cc' <<< "$out"; then
+    echo "lint --self-test: missing batch-path file not named"
+    fail=1
+  fi
   expect "WAL append/sync outside"
   expect "Status dropped without a status-ok: annotation"
   if grep -qE '^\s+.*\(void\)snprintf' <<< "$out"; then
@@ -212,12 +220,16 @@ grep -v -e '^#' -e '^$' tools/parser_audit.list \
   | report "assert() in an audited parser (corrupt bytes must return Status::Corruption; see tools/check_parsers.sh)"
 
 # 7. Per-key I/O in the point-lookup path: db_multiget.cc holds the core
-#    (DBImpl::LookupKeys) that Get and MultiGet share, table_cache.cc the
-#    per-table batch probe under it. Any block read, file read, or file
-#    open in these files must be the amortized one (annotated
-#    `batch-io-ok:` on the call line or the line above); anything else is
-#    a looped-Get regression hiding inside MultiGet.
-BATCH_PATH_FILES="src/core/db_multiget.cc src/core/table_cache.cc"
+#    (DBImpl::LookupKeys) that Get and MultiGet share, version.cc the
+#    opening of a file's reader on its first use (FileMetaData::Table).
+#    Any block read, file read, or file open in these files must be the
+#    amortized one (annotated `batch-io-ok:` on the call line or the line
+#    above); anything else is a looped-Get regression hiding inside
+#    MultiGet.
+BATCH_PATH_FILES="src/core/db_multiget.cc src/core/version.cc"
+for f in $BATCH_PATH_FILES; do
+  [ -f "$f" ] || echo "$f"
+done | report "batch-path file missing (point BATCH_PATH_FILES in tools/lint.sh at the point-lookup path's files)"
 for f in $BATCH_PATH_FILES; do
   [ -f "$f" ] || continue
   awk -v file="$f" '
